@@ -18,7 +18,7 @@ Quickstart::
     print(result.total_bytes, "bytes on the wire")
 """
 
-from repro.collection import CollectionReport, sync_collection
+from repro.collection import CollectionReport, SyncOptions, sync_collection
 from repro.core import ProtocolConfig, SyncResult, synchronize
 from repro.delta import (
     vcdiff_decode,
@@ -61,6 +61,7 @@ __all__ = [
     "SimulatedChannel",
     "SyncExecutor",
     "SyncFailedError",
+    "SyncOptions",
     "SyncResult",
     "SyncSupervisor",
     "TransferStats",

@@ -29,8 +29,10 @@ from repro.bench.methods import (
     ZdeltaMethod,
     standard_methods,
 )
+from repro.collection.options import SyncOptions
 from repro.core import ProtocolConfig
-from repro.exceptions import ReproError
+from repro.counters import COUNTERS, RUN
+from repro.exceptions import ReproError, ResumeRefusedError
 from repro.grouptesting import strategy_names
 from repro.workloads import emacs_like, gcc_like, make_web_collection
 
@@ -111,45 +113,24 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         if args.method != "ours":
             print("error: --batched requires --method ours", file=sys.stderr)
             return 2
-        if fault_plan is not None:
-            print("error: --batched does not support fault injection",
-                  file=sys.stderr)
-            return 2
-        if args.checkpoint_dir is not None or args.resume:
-            print("error: --batched does not support checkpoints",
-                  file=sys.stderr)
-            return 2
-        return _sync_batched(args, old_side, new_side)
-    if args.pipeline:
-        if args.method not in ("ours", "multiround"):
-            print("error: --pipeline requires --method ours or multiround",
-                  file=sys.stderr)
-            return 2
-        if fault_plan is not None:
-            print("error: --pipeline does not support fault injection",
-                  file=sys.stderr)
-            return 2
-        if (
-            args.retries is not None
-            or args.adaptive_retry
-            or args.deadline is not None
-            or args.run_deadline is not None
-            or args.breaker_threshold is not None
+        for feature, requested in (
+            ("fault injection", fault_plan is not None),
+            ("checkpoints", args.checkpoint_dir is not None or args.resume),
+            ("--pipeline", args.pipeline),
+            ("--sibling-refs", args.sibling_refs),
         ):
-            print("error: --pipeline does not support retries, deadlines "
-                  "or breakers", file=sys.stderr)
-            return 2
-        # Error isolation needs the sequential path; pipelined runs
-        # always abort on failure.
-        args.on_error = "raise"
+            if requested:
+                print(f"error: --batched does not support {feature}",
+                      file=sys.stderr)
+                return 2
+        return _sync_batched(args, old_side, new_side)
     method: SyncMethod = _METHOD_FACTORIES[args.method](args)
-    run = run_method_on_collection(
-        method,
-        old_side,
-        new_side,
+    options = dict(
         workers=args.workers or None,
         use_arena=args.arena,
-        on_error=args.on_error,
+        # Default: rescue with a full transfer; pipelined runs support
+        # only aborting, so any explicit other choice there is refused.
+        on_error=args.on_error or ("raise" if args.pipeline else "fallback"),
         fault_plan=fault_plan,
         retry_policy=_retry_policy_from_args(args),
         checkpoint_dir=args.checkpoint_dir,
@@ -165,6 +146,12 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         sibling_refs=args.sibling_refs,
         resemblance_threshold=args.resemblance_threshold,
     )
+    try:
+        SyncOptions(**options).validate(method)
+    except (ValueError, ResumeRefusedError) as refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
+    run = run_method_on_collection(method, old_side, new_side, **options)
     adaptive_active = (
         args.adaptive_retry
         or args.deadline is not None
@@ -173,54 +160,11 @@ def _cmd_sync(args: argparse.Namespace) -> int:
     )
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "method": run.method,
-                    "total_bytes": run.total_bytes,
-                    "manifest_bytes": run.manifest_bytes,
-                    "changed_bytes": run.changed_bytes,
-                    "added_bytes": run.added_bytes,
-                    "files_changed": run.files_changed,
-                    "files_unchanged": run.files_unchanged,
-                    "breakdown": run.breakdown,
-                    "workers": run.workers,
-                    "cpu_seconds": round(run.cpu_seconds, 4),
-                    "cache_hits": run.cache_hits,
-                    "cache_misses": run.cache_misses,
-                    "ref_cache_hits": run.ref_cache_hits,
-                    "ref_cache_misses": run.ref_cache_misses,
-                    "arena_used": run.arena_used,
-                    "arena_bytes": run.arena_bytes,
-                    "retries": run.retries,
-                    "fallback_files": run.fallback_files,
-                    "failed_files": run.failed_files,
-                    "retransmitted_bytes": run.retransmitted_bytes,
-                    "recovery_seconds": round(run.recovery_seconds, 4),
-                    "rounds_salvaged": run.rounds_salvaged,
-                    "resume_handshake_bits": run.resume_handshake_bits,
-                    "checkpoint_bytes_written": run.checkpoint_bytes_written,
-                    "health_score": round(run.health_score, 4),
-                    "breaker_opens": run.breaker_opens,
-                    "deadline_salvages": run.deadline_salvages,
-                    "adaptive_backoff_s": round(run.adaptive_backoff_s, 4),
-                    "collisions_detected": run.collisions_detected,
-                    "repair_rounds": run.repair_rounds,
-                    "repair_bytes": run.repair_bytes,
-                    "pipelined": run.pipelined,
-                    "waves": run.waves,
-                    "mux_overhead_bytes": run.mux_overhead_bytes,
-                    "roundtrips_on_wire": run.roundtrips_on_wire,
-                    "link_wall_clock_s": round(run.link_wall_clock_s, 4),
-                    "dedup_hits": run.dedup_hits,
-                    "delta_memo_hits": run.delta_memo_hits,
-                    "delta_memo_misses": run.delta_memo_misses,
-                    "sibling_refs_used": run.sibling_refs_used,
-                    "bytes_saved_vs_self_ref": run.bytes_saved_vs_self_ref,
-                },
-                indent=2,
-            )
-        )
+        payload = {"method": run.method}
+        for counter in COUNTERS:
+            if counter.scope != RUN:
+                payload[counter.name] = counter.export(run.values[counter.name])
+        print(json.dumps(payload, indent=2))
     else:
         total_new = sum(len(v) for v in new_side.values())
         print(f"method          : {run.method}")
@@ -286,6 +230,10 @@ def _sync_batched(
     report = sync_collection_batched(
         old_side, new_side, _config_from_args(args)
     )
+    if args.output is not None:
+        from repro.collection import CollectionStore
+
+        CollectionStore(args.output).write_collection(report.reconstructed)
     if args.json:
         print(
             json.dumps(
@@ -743,9 +691,10 @@ def build_parser() -> argparse.ArgumentParser:
     sync.add_argument("--fault-seed", type=int, default=0,
                       help="seed for the deterministic fault plan")
     sync.add_argument("--on-error", choices=("raise", "skip", "fallback"),
-                      default="fallback",
+                      default=None,
                       help="per-file error isolation: abort, keep the old "
-                           "copy, or rescue with a full transfer")
+                           "copy, or rescue with a full transfer (default: "
+                           "fallback; raise under --pipeline)")
     sync.add_argument("--retries", type=int, default=None,
                       help="retry attempts per ladder rung before "
                            "degrading (default: supervisor default of 3)")

@@ -8,6 +8,7 @@ costs aggregated.
 """
 
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
+from repro.collection.options import SyncOptions
 from repro.collection.pipeline import (
     CollectionScheduler,
     PipelineRun,
@@ -37,6 +38,7 @@ __all__ = [
     "RecordingChannel",
     "ScrubReport",
     "StoreScrubber",
+    "SyncOptions",
     "Manifest",
     "ManifestDiff",
     "TMP_SUFFIX",

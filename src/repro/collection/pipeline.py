@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.collection.options import SyncOptions
 from repro.exceptions import ProtocolError
 from repro.net.channel import LinkModel, SimulatedChannel
 from repro.net.frame import (
@@ -154,13 +155,7 @@ class CollectionScheduler:
         link: LinkModel | None = None,
         checkpoints=None,
     ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        if not getattr(method, "supports_pipeline", False):
-            raise ValueError(
-                f"method {method.name} does not support pipelined "
-                f"scheduling (no step-wise session)"
-            )
+        SyncOptions(pipeline=True, window=window).validate(method)
         self.method = method
         self.window = window
         self.link = link or LinkModel()

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import operator
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 
-from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
+from repro.collection.options import SyncOptions
+from repro.counters import COUNTERS, FILE
 from repro.exceptions import IntegrityError
-from repro.parallel.executor import FileTask, SyncExecutor
+from repro.parallel.executor import (
+    CACHE_COUNTERS,
+    FileTask,
+    SyncExecutor,
+    cache_deltas,
+)
+from repro.syncmethod import MethodOutcome, SyncMethod
+
+_PER_FILE = frozenset(c.name for c in COUNTERS if c.scope == FILE)
 
 
 @dataclass
@@ -24,6 +35,9 @@ class CollectionReport:
     file to the failed attempts its sync burnt, ``fallbacks`` to the
     ladder rung (or collection-level rescue) that finally moved it, and
     ``failed`` to the error that stopped it (``on_error="skip"`` only).
+
+    Every per-file counter of :mod:`repro.counters` also reads as an
+    attribute aggregated over ``per_file`` (``report.repair_bytes``).
     """
 
     method: str
@@ -56,25 +70,37 @@ class CollectionReport:
     roundtrips_on_wire: int = 0
     link_wall_clock_s: float = 0.0
     #: Reuse-layer counters (DESIGN §17), all zero on a clean default
-    #: run: ``dedup_hits`` counts added files served by content identity
-    #: from blobs the client already holds (renames), the memo pair the
-    #: delta-memo cache's hit/miss deltas, ``sibling_refs_used`` added
-    #: files delta-coded against a similar sibling instead of sent in
-    #: full, and ``bytes_saved_vs_self_ref`` the wire bytes those reuse
-    #: decisions saved versus self-reference-only transfer.
+    #: run: added files served by content identity (renames) or as a
+    #: delta against a similar sibling, the wire bytes that saved versus
+    #: a full transfer, and the delta-memo cache's hit/miss deltas.
     dedup_hits: int = 0
     delta_memo_hits: int = 0
     delta_memo_misses: int = 0
     sibling_refs_used: int = 0
     bytes_saved_vs_self_ref: int = 0
 
+    def __getattr__(self, name: str):
+        # Per-file counters of the spec (``report.repair_bytes``) read
+        # through to the merge of every file's outcome.
+        if name in _PER_FILE:
+            return getattr(self.totals(), name)
+        raise AttributeError(name)
+
+    def totals(self) -> MethodOutcome:
+        """Every file's outcome merged by the counter spec's rules."""
+        return reduce(
+            operator.add, self.per_file.values(), MethodOutcome(total_bytes=0)
+        )
+
     @property
-    def changed_transfer_bytes(self) -> int:
+    def changed_bytes(self) -> int:
         return sum(outcome.total_bytes for outcome in self.per_file.values())
+
+    changed_transfer_bytes = changed_bytes
 
     @property
     def total_bytes(self) -> int:
-        return self.manifest_bytes + self.changed_transfer_bytes + self.added_bytes
+        return self.manifest_bytes + self.changed_bytes + self.added_bytes
 
     @property
     def files_changed(self) -> int:
@@ -89,95 +115,16 @@ class CollectionReport:
         return sum(self.retries.values())
 
     @property
-    def files_fallback(self) -> int:
+    def fallback_files(self) -> int:
         return len(self.fallbacks)
 
+    files_fallback = fallback_files
+
     @property
-    def files_failed(self) -> int:
+    def failed_files(self) -> int:
         return len(self.failed)
 
-    @property
-    def retransmitted_bytes(self) -> int:
-        return sum(
-            outcome.retransmitted_bytes for outcome in self.per_file.values()
-        )
-
-    @property
-    def rounds_salvaged(self) -> int:
-        """Protocol rounds resumed from checkpoints instead of re-run."""
-        return sum(
-            outcome.rounds_salvaged for outcome in self.per_file.values()
-        )
-
-    @property
-    def resume_handshake_bits(self) -> int:
-        """Wire cost of every resume handshake across the collection."""
-        return sum(
-            outcome.resume_handshake_bits for outcome in self.per_file.values()
-        )
-
-    @property
-    def checkpoint_bytes_written(self) -> int:
-        """Local journal bytes fsynced (disk cost, never wire cost)."""
-        return sum(
-            outcome.checkpoint_bytes_written
-            for outcome in self.per_file.values()
-        )
-
-    @property
-    def health_score(self) -> float:
-        """Worst link-health estimate seen across the collection.
-
-        ``1.0`` (the pristine default) unless an adaptive policy ran and
-        observed failures — happy-path reports are untouched.
-        """
-        if not self.per_file:
-            return 1.0
-        return min(
-            outcome.health_score for outcome in self.per_file.values()
-        )
-
-    @property
-    def breaker_opens(self) -> int:
-        """Circuit-breaker trips across the collection."""
-        return sum(
-            outcome.breaker_opens for outcome in self.per_file.values()
-        )
-
-    @property
-    def deadline_salvages(self) -> int:
-        """Checkpointed rounds preserved by deadline breaches."""
-        return sum(
-            outcome.deadline_salvages for outcome in self.per_file.values()
-        )
-
-    @property
-    def adaptive_backoff_s(self) -> float:
-        """Simulated seconds the AIMD backoff schedule spent waiting."""
-        return sum(
-            outcome.adaptive_backoff_s for outcome in self.per_file.values()
-        )
-
-    @property
-    def collisions_detected(self) -> int:
-        """Whole-file fingerprint rejections across the collection."""
-        return sum(
-            outcome.collisions_detected for outcome in self.per_file.values()
-        )
-
-    @property
-    def repair_rounds(self) -> int:
-        """Group-digest descent roundtrips spent localizing collisions."""
-        return sum(
-            outcome.repair_rounds for outcome in self.per_file.values()
-        )
-
-    @property
-    def repair_bytes(self) -> int:
-        """Wire bytes of the surgical repair exchanges."""
-        return sum(
-            outcome.repair_bytes for outcome in self.per_file.values()
-        )
+    files_failed = failed_files
 
     def summary(self) -> dict[str, int]:
         return {
@@ -202,28 +149,15 @@ def sync_collection_batched(
     file.
     """
     from repro.core.batch import synchronize_batch
-    from repro.syncmethod import MethodOutcome
 
-    client_manifest = Manifest.of_collection(client_files)
-    server_manifest = Manifest.of_collection(server_files)
-    diff = diff_manifests(client_manifest, server_manifest)
-
-    report = CollectionReport(
-        method="ours-batched",
-        manifest_bytes=server_manifest.wire_bytes(),
-        diff=diff,
+    opts = SyncOptions(verify=verify)
+    report, changed = _detect_changes(
+        client_files, server_files, "ours-batched", opts
     )
-    for name in diff.unchanged:
-        report.reconstructed[name] = client_files[name]
-    for name in diff.added:
-        payload = zlib.compress(server_files[name], 9)
-        report.added_bytes += len(payload)
-        report.reconstructed[name] = zlib.decompress(payload)
-
-    if diff.changed:
+    if changed:
         batch = synchronize_batch(
-            {name: client_files[name] for name in diff.changed},
-            {name: server_files[name] for name in diff.changed},
+            {task.name: task.old for task in changed},
+            {task.name: task.new for task in changed},
             config,
         )
         report.reconstructed.update(batch.reconstructed)
@@ -234,14 +168,70 @@ def sync_collection_batched(
             server_to_client=batch.stats.server_to_client_bytes,
             breakdown=dict(batch.stats.breakdown()),
         )
+    _verify_and_store(report, server_files, opts)
+    return report
 
-    if verify:
+
+def _detect_changes(client_files, server_files, method_name, opts):
+    """Charge change detection, then settle every file that needs no
+    per-file protocol: unchanged files cost nothing, files only on the
+    server are transferred whole (or by sibling reference).  Returns the
+    report so far and the changed files as tasks.
+
+    Detection is either the full fingerprint manifest (``"manifest"``,
+    the paper's approach) or Merkle-trie reconciliation
+    (``"reconcile"``, cost proportional to the number of changes).
+    """
+    client_manifest = Manifest.of_collection(client_files)
+    server_manifest = Manifest.of_collection(server_files)
+    if opts.change_detection == "manifest":
+        diff = diff_manifests(client_manifest, server_manifest)
+        detection_bytes = server_manifest.wire_bytes()
+    else:
+        from repro.collection.reconcile import reconcile_manifests
+
+        diff, channel = reconcile_manifests(client_manifest, server_manifest)
+        detection_bytes = channel.stats.total_bytes
+
+    report = CollectionReport(
+        method=method_name, manifest_bytes=detection_bytes, diff=diff
+    )
+    for name in diff.unchanged:
+        report.reconstructed[name] = client_files[name]
+    if diff.added:
+        _transfer_added(
+            report,
+            client_files,
+            server_files,
+            diff.added,
+            client_manifest,
+            opts,
+        )
+    changed = [
+        FileTask(name, client_files[name], server_files[name])
+        for name in diff.changed
+    ]
+    return report, changed
+
+
+def _verify_and_store(report, server_files, opts) -> None:
+    """Check the reconstruction byte for byte (files skipped under
+    ``on_error="skip"`` keep the client's copy), then materialise it."""
+    if opts.verify:
         for name, data in server_files.items():
+            if name in report.failed:
+                continue
             if report.reconstructed.get(name) != data:
                 raise IntegrityError(
-                    f"batched reconstruction differs at {name}"
+                    f"collection reconstruction differs at {name}"
                 )
-    return report
+    store = opts.store
+    if store is not None:
+        from repro.collection.store import CollectionStore
+
+        if not isinstance(store, CollectionStore):
+            store = CollectionStore(store)
+        store.write_collection(report.reconstructed)
 
 
 def _transfer_added(
@@ -250,22 +240,24 @@ def _transfer_added(
     server_files: dict[str, bytes],
     added,
     client_manifest: Manifest,
-    sibling_refs: bool,
-    resemblance_threshold: float,
+    opts: SyncOptions,
 ) -> None:
     """Transfer the files the client lacks entirely.
 
     Default: compressed full transfer, exactly the pre-reuse behaviour.
-    With ``sibling_refs`` each added file is first matched by content
+    With ``opts.sibling_refs`` each added file is first matched by content
     identity (the client already holds these bytes under another name —
     a rename, zero wire bytes beyond the manifest) and then against the
     most similar client file by min-hash resemblance (delta-coded when
     that beats the full transfer).  Every decision takes the cheaper
     payload, so the option never costs bytes.
     """
+    from repro.delta.encoder import zdelta_decode, zdelta_encode
+    from repro.hashing.strong import file_fingerprint
+
     index = None
     by_fingerprint: dict[bytes, str] = {}
-    if sibling_refs and client_files:
+    if opts.sibling_refs and client_files:
         from repro.reuse.similarity import SimilarityIndex
 
         # Earliest name wins per content (sorted = deterministic).
@@ -278,8 +270,6 @@ def _transfer_added(
         new = server_files[name]
         payload = zlib.compress(new, 9)
         if by_fingerprint:
-            from repro.hashing.strong import file_fingerprint
-
             twin = by_fingerprint.get(file_fingerprint(new))
             if twin is not None:
                 # Rename: content-identical bytes already on the client.
@@ -289,11 +279,9 @@ def _transfer_added(
                 continue
         if index is not None:
             candidate = index.best_reference(
-                new, threshold=resemblance_threshold
+                new, threshold=opts.resemblance_threshold
             )
             if candidate is not None:
-                from repro.delta.encoder import zdelta_decode, zdelta_encode
-
                 sibling_name, _resemblance = candidate
                 sibling = client_files[sibling_name]
                 delta = zdelta_encode(sibling, new)
@@ -313,390 +301,162 @@ def sync_collection(
     client_files: dict[str, bytes],
     server_files: dict[str, bytes],
     method: SyncMethod,
-    verify: bool = True,
-    change_detection: str = "manifest",
-    workers: int | None = 1,
-    use_arena: bool | None = None,
-    executor: SyncExecutor | None = None,
-    on_error: str = "raise",
-    fault_plan=None,
-    retry_policy=None,
-    link=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    checkpoints=None,
-    store=None,
-    adaptive_retry=False,
-    deadline_s: float | None = None,
-    run_deadline_s: float | None = None,
-    breaker_threshold=None,
-    pipeline: bool = False,
-    window: int = 8,
-    delta_memo: bool | None = None,
-    sibling_refs: bool = False,
-    resemblance_threshold: float = 0.5,
+    **options,
 ) -> CollectionReport:
     """Update ``client_files`` to ``server_files`` using ``method``.
 
-    Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the process-wide
-    delta-memo switch for this update — ``True`` memoizes instruction
-    lists and encoded payloads by content pair (byte-identical, wall-clock
-    only), ``False`` forces it off, ``None`` (default) defers to
-    ``REPRO_DELTA_MEMO``.  ``sibling_refs`` serves *added* files (no
-    previous version on the client) by content identity when the client
-    already holds the same bytes under another name (a rename — counted
-    in ``report.dedup_hits``) or as a delta against the most similar
-    client file clearing ``resemblance_threshold`` (min-hash estimate,
-    counted in ``report.sibling_refs_used``); the compressed full
-    transfer remains the fallback, and the cheaper of delta and full
-    always wins, so enabling it never costs wire bytes.  Both knobs
-    default to off, leaving reports byte-identical to a run without them.
+    ``options`` are the :class:`~repro.collection.options.SyncOptions`
+    fields (an unknown keyword raises :class:`TypeError`), validated
+    before any work starts.  Change detection is charged first;
+    unchanged files cost nothing further, files only on the server are
+    sent compressed (or served by sibling references), and changed files
+    go through the per-file method — sequentially or over a process pool
+    (results reassembled in manifest order, so the byte accounting is
+    identical), or pipelined round by round over one multiplexed channel.
     """
     from repro.reuse.memo import delta_memo_scope
 
-    with delta_memo_scope(None if delta_memo is None else bool(delta_memo)):
-        return _sync_collection_impl(
-            client_files,
-            server_files,
-            method,
-            verify=verify,
-            change_detection=change_detection,
-            workers=workers,
-            use_arena=use_arena,
-            executor=executor,
-            on_error=on_error,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            link=link,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            checkpoints=checkpoints,
-            store=store,
-            adaptive_retry=adaptive_retry,
-            deadline_s=deadline_s,
-            run_deadline_s=run_deadline_s,
-            breaker_threshold=breaker_threshold,
-            pipeline=pipeline,
-            window=window,
-            sibling_refs=sibling_refs,
-            resemblance_threshold=resemblance_threshold,
+    opts = SyncOptions(**options)
+    opts.validate(method)
+    with delta_memo_scope(
+        None if opts.delta_memo is None else bool(opts.delta_memo)
+    ):
+        checkpoints = opts.checkpoints
+        if checkpoints is None and opts.checkpoint_dir is not None:
+            from repro.resilience import CheckpointStore
+
+            checkpoints = CheckpointStore(
+                opts.checkpoint_dir, resume=opts.resume
+            )
+        if not opts.pipeline:  # the pipelined scheduler drives journals itself
+            method, graceful, budget = _supervised(method, opts, checkpoints)
+
+        report, changed = _detect_changes(
+            client_files, server_files, method.name, opts
         )
+        if opts.pipeline:
+            _sync_pipelined(report, method, changed, opts, checkpoints)
+        else:
+            _sync_sequential(report, method, changed, opts, graceful, budget)
+        _verify_and_store(report, server_files, opts)
+    return report
 
 
-def _sync_collection_impl(
-    client_files: dict[str, bytes],
-    server_files: dict[str, bytes],
-    method: SyncMethod,
-    verify: bool = True,
-    change_detection: str = "manifest",
-    workers: int | None = 1,
-    use_arena: bool | None = None,
-    executor: SyncExecutor | None = None,
-    on_error: str = "raise",
-    fault_plan=None,
-    retry_policy=None,
-    link=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    checkpoints=None,
-    store=None,
-    adaptive_retry=False,
-    deadline_s: float | None = None,
-    run_deadline_s: float | None = None,
-    breaker_threshold=None,
-    pipeline: bool = False,
-    window: int = 8,
-    sibling_refs: bool = False,
-    resemblance_threshold: float = 0.5,
-) -> CollectionReport:
-    """The update itself (the public wrapper holds the memo scope).
+def _sync_pipelined(report, method, changed, opts, checkpoints) -> None:
+    """Interleave the changed files' rounds over one multiplexed channel
+    (:class:`~repro.collection.pipeline.CollectionScheduler`); per-file
+    accounting stays bit-identical to the sequential path, only
+    ``roundtrips_on_wire`` and ``link_wall_clock_s`` collapse."""
+    from repro.collection.pipeline import CollectionScheduler
 
-    Change detection is charged first — either the full fingerprint
-    manifest (``"manifest"``, the paper's approach) or Merkle-trie
-    reconciliation (``"reconcile"``, cost proportional to the number of
-    changes).  Unchanged files cost nothing further; files only on the
-    server are sent compressed; changed files go through the per-file
-    method.  With ``verify`` (default) the reconstructed collection is
-    checked byte-for-byte.
+    scheduler = CollectionScheduler(
+        method, window=opts.window, link=opts.link, checkpoints=checkpoints
+    )
+    with cache_deltas() as deltas:
+        run = scheduler.run([(t.name, t.old, t.new) for t in changed])
+    vars(report).update(deltas)
+    report.pipelined = True
+    report.waves = run.waves
+    report.mux_overhead_bytes = run.mux_overhead_bytes
+    report.roundtrips_on_wire = run.roundtrips_on_wire
+    report.link_wall_clock_s = run.link_wall_clock_s
+    for task in changed:
+        name = task.name
+        outcome = run.per_file[name]
+        report.per_file[name] = outcome
+        report.per_file_seconds[name] = run.per_file_seconds[name]
+        report.cpu_seconds += run.per_file_seconds[name]
+        report.reconstructed[name] = run.reconstructed[name]
+        if opts.verify and not outcome.correct:
+            raise IntegrityError(f"method {method.name} failed on {name}")
 
-    ``workers`` (or a preconfigured ``executor``) fans the changed files
-    out over a process pool; results are reassembled in manifest order so
-    the report's byte accounting is identical to the serial run.
-    ``workers=None`` uses one process per CPU.  ``use_arena`` picks the
-    dispatch substrate for the pool: ``None`` (default) ships payloads
-    through a zero-copy shared-memory arena when the platform supports
-    it, ``False`` forces the classic pickle path, ``True`` insists on
-    trying the arena.  Reports are byte-identical either way.
 
-    Resilience: passing a ``fault_plan``
-    (:class:`~repro.net.faults.FaultPlan`) and/or a ``retry_policy``
-    (:class:`~repro.resilience.RetryPolicy`) wraps ``method`` in a
-    :class:`~repro.resilience.SyncSupervisor` that retries and degrades
-    down a fallback ladder per file.  ``on_error`` controls per-file
-    error isolation when a file still cannot be synchronised:
+def _supervised(method, opts, checkpoints):
+    """``method`` under a :class:`~repro.resilience.SyncSupervisor` when
+    any resilience option asks for one, plus whether the run degrades
+    gracefully (breakers or deadlines) and the run-deadline budget."""
+    from repro.resilience import (
+        AdaptiveRetryPolicy,
+        BreakerBoard,
+        DeadlineBudget,
+        SyncSupervisor,
+    )
 
-    * ``"raise"`` (default) — propagate the error, aborting the update;
-    * ``"skip"`` — keep the client's copy, record the error in
-      ``report.failed``;
-    * ``"fallback"`` — rescue the file with a reliable compressed full
-      transfer, charged to its outcome and recorded in
-      ``report.fallbacks``; the update never raises.
-
-    Resumable sessions: ``checkpoint_dir`` (or a preconfigured
-    ``checkpoints`` :class:`~repro.resilience.CheckpointStore`) makes
-    every checkpoint-capable file session journal its round boundaries
-    there, one file per entry; retries resume from the last completed
-    round.  ``resume=True`` additionally honours journals left by a
-    *previous* (crashed) run — it requires a durable checkpoint location
-    and raises :class:`~repro.exceptions.ResumeRefusedError` without one.
-    All three parameters default to off, leaving behaviour and byte
-    accounting identical to a run without them.
-
-    ``store`` (a :class:`~repro.collection.store.CollectionStore` or a
-    directory path) materialises the reconstructed collection on disk,
-    every file written atomically — a crash mid-update can orphan
-    temporaries but never tear a visible file.
-
-    Adaptive resilience (DESIGN §14): ``adaptive_retry`` (``True`` or an
-    :class:`~repro.resilience.AdaptiveRetryPolicy`) replaces the static
-    backoff with AIMD scaling, seeded jitter and failure-signature
-    ladder routing; ``breaker_threshold`` (an int, or a preconfigured
-    :class:`~repro.resilience.BreakerBoard`) gives every file a circuit
-    breaker; ``deadline_s`` bounds the simulated seconds spent per file
-    and ``run_deadline_s`` across the whole run (run deadlines force
-    serial execution so the shared budget is charged deterministically).
-    With breakers or deadlines configured the run *degrades gracefully*:
-    a file refused by its breaker or out of budget is recorded in
-    ``report.failed`` (keeping the client copy) even under
-    ``on_error="raise"``, which then raises
-    :class:`~repro.exceptions.SyncFailedError` only for other errors.
-    All four default to off, leaving behaviour byte-identical to a run
-    without them.
-
-    Pipelined scheduling (DESIGN §16): ``pipeline=True`` interleaves the
-    changed files' protocol rounds — up to ``window`` in flight — over
-    one multiplexed channel so the link's round-trip latency is paid per
-    *wave* instead of per file per round
-    (:class:`~repro.collection.pipeline.CollectionScheduler`).  Per-file
-    transcripts, byte accounting and round checkpoints stay bit-identical
-    to the sequential run; only ``roundtrips_on_wire`` and
-    ``link_wall_clock_s`` collapse.  Requires a method with a step-wise
-    session (``supports_pipeline``), forces serial in-process compute,
-    and is incompatible with fault injection, retries, breakers,
-    deadlines and ``on_error`` isolation (checkpoints/resume compose
-    fine).
-    """
-    if on_error not in ("raise", "skip", "fallback"):
-        raise ValueError(
-            f"on_error must be 'raise', 'skip' or 'fallback', "
-            f"got {on_error!r}"
-        )
-    if pipeline:
-        if not getattr(method, "supports_pipeline", False):
-            raise ValueError(
-                f"method {method.name} does not support pipelined "
-                f"scheduling (no step-wise session)"
-            )
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        if (
-            fault_plan is not None
-            or retry_policy is not None
-            or adaptive_retry
-            or breaker_threshold is not None
-            or deadline_s is not None
-            or run_deadline_s is not None
-        ):
-            raise ValueError(
-                "pipeline=True is incompatible with fault injection, "
-                "retries, breakers and deadlines — run those sequentially"
-            )
-        if on_error != "raise":
-            raise ValueError(
-                "pipeline=True is incompatible with on_error isolation; "
-                "use on_error='raise'"
-            )
-        if executor is not None:
-            raise ValueError(
-                "pipeline=True forces serial in-process execution; "
-                "drop executor="
-            )
-    if checkpoints is None and checkpoint_dir is not None:
-        from repro.resilience import CheckpointStore
-
-        checkpoints = CheckpointStore(checkpoint_dir, resume=resume)
-    if resume and (checkpoints is None or checkpoints.root is None):
-        from repro.exceptions import ResumeRefusedError
-
-        raise ResumeRefusedError(
-            "resume=True needs a durable checkpoint location "
-            "(checkpoint_dir or a CheckpointStore with a root)"
-        )
     budget = None
-    if run_deadline_s is not None:
-        from repro.resilience import DeadlineBudget
-
-        budget = DeadlineBudget(run_deadline_s)
-        # The run-level budget is shared mutable state charged by every
-        # file in sequence; pool workers each mutate their own pickled
-        # copy, so a run deadline forces serial execution.
-        workers = 1
-        executor = None
-    if adaptive_retry:
-        from repro.resilience import AdaptiveRetryPolicy
-
-        if isinstance(adaptive_retry, AdaptiveRetryPolicy):
-            retry_policy = adaptive_retry
+    if opts.run_deadline_s is not None:
+        budget = DeadlineBudget(opts.run_deadline_s)
+    retry_policy = opts.retry_policy
+    if opts.adaptive_retry:
+        if isinstance(opts.adaptive_retry, AdaptiveRetryPolicy):
+            retry_policy = opts.adaptive_retry
         elif not isinstance(retry_policy, AdaptiveRetryPolicy):
             # Mirror a given static schedule into the adaptive policy so
             # `adaptive_retry=True` composes with `retry_policy=...`.
-            schedule_kwargs = {}
-            if retry_policy is not None:
-                schedule_kwargs = dict(
-                    max_attempts=retry_policy.max_attempts,
-                    base_backoff_s=retry_policy.base_backoff_s,
-                    multiplier=retry_policy.multiplier,
-                    max_backoff_s=retry_policy.max_backoff_s,
-                )
-            retry_policy = AdaptiveRetryPolicy(**schedule_kwargs)
-    breakers = None
-    if breaker_threshold is not None:
-        from repro.resilience import BreakerBoard
-
-        if isinstance(breaker_threshold, BreakerBoard):
-            breakers = breaker_threshold
-        else:
-            breakers = BreakerBoard(
-                failure_threshold=int(breaker_threshold)
-            )
+            schedule = asdict(retry_policy) if retry_policy else {}
+            retry_policy = AdaptiveRetryPolicy(**schedule)
+    breakers = opts.breaker_threshold
+    if breakers is not None:
+        if not isinstance(breakers, BreakerBoard):
+            breakers = BreakerBoard(failure_threshold=int(breakers))
     graceful = (
-        breakers is not None or deadline_s is not None or budget is not None
+        breakers is not None
+        or opts.deadline_s is not None
+        or budget is not None
     )
     if (
-        fault_plan is not None
+        opts.fault_plan is not None
         or retry_policy is not None
         or checkpoints is not None
         or graceful
-    ) and not pipeline:  # the pipelined scheduler drives journals itself
-        from repro.resilience import SyncSupervisor
-
+    ):
         if not isinstance(method, SyncSupervisor):
             method = SyncSupervisor(
                 method,
                 retry=retry_policy,
-                fault_plan=fault_plan,
-                link=link,
+                fault_plan=opts.fault_plan,
+                link=opts.link,
                 checkpoints=checkpoints,
                 breakers=breakers,
-                deadline_s=deadline_s,
+                deadline_s=opts.deadline_s,
                 budget=budget,
             )
+    return method, graceful, budget
 
-    client_manifest = Manifest.of_collection(client_files)
-    server_manifest = Manifest.of_collection(server_files)
-    if change_detection == "manifest":
-        diff = diff_manifests(client_manifest, server_manifest)
-        detection_bytes = server_manifest.wire_bytes()
-    elif change_detection == "reconcile":
-        from repro.collection.reconcile import reconcile_manifests
 
-        diff, channel = reconcile_manifests(client_manifest, server_manifest)
-        detection_bytes = channel.stats.total_bytes
-    else:
-        raise ValueError(
-            f"change_detection must be 'manifest' or 'reconcile', "
-            f"got {change_detection!r}"
-        )
-
-    report = CollectionReport(
-        method=method.name,
-        manifest_bytes=detection_bytes,
-        diff=diff,
-    )
-
-    for name in diff.unchanged:
-        report.reconstructed[name] = client_files[name]
-    if diff.added:
-        _transfer_added(
-            report,
-            client_files,
-            server_files,
-            diff.added,
-            client_manifest,
-            sibling_refs,
-            resemblance_threshold,
-        )
-
-    if pipeline:
-        from repro.collection.pipeline import CollectionScheduler
-
-        scheduler = CollectionScheduler(
-            method, window=window, link=link, checkpoints=checkpoints
-        )
-        run = scheduler.run(
-            [
-                (name, client_files[name], server_files[name])
-                for name in diff.changed
-            ]
-        )
-        report.workers = 1
-        report.pipelined = True
-        report.waves = run.waves
-        report.mux_overhead_bytes = run.mux_overhead_bytes
-        report.roundtrips_on_wire = run.roundtrips_on_wire
-        report.link_wall_clock_s = run.link_wall_clock_s
-        for name in diff.changed:
-            outcome = run.per_file[name]
-            report.per_file[name] = outcome
-            report.per_file_seconds[name] = run.per_file_seconds[name]
-            report.cpu_seconds += run.per_file_seconds[name]
-            report.reconstructed[name] = run.reconstructed[name]
-            if verify and not outcome.correct:
-                raise IntegrityError(f"method {method.name} failed on {name}")
-
-        if verify:
-            for name, data in server_files.items():
-                if report.reconstructed.get(name) != data:
-                    raise IntegrityError(
-                        f"collection reconstruction differs at {name}"
-                    )
-        if store is not None:
-            from repro.collection.store import CollectionStore
-
-            if not isinstance(store, CollectionStore):
-                store = CollectionStore(store)
-            store.write_collection(report.reconstructed)
-        return report
-
+def _sync_sequential(report, method, changed, opts, graceful, budget) -> None:
+    """Run every changed file's protocol to completion, serially or over
+    the executor's process pool, isolating failures per ``on_error``."""
+    workers, executor = opts.workers, opts.executor
+    if budget is not None:
+        # The run-level budget is shared mutable state charged by every
+        # file in sequence; pool workers each mutate their own pickled
+        # copy, so a run deadline forces serial execution.
+        workers, executor = 1, None
     if executor is None:
-        executor = SyncExecutor(workers=workers, use_arena=use_arena)
+        executor = SyncExecutor(workers=workers, use_arena=opts.use_arena)
     batch = executor.run(
         method,
-        [
-            FileTask(name, client_files[name], server_files[name])
-            for name in diff.changed
-        ],
+        changed,
         # Breakers/deadlines promise graceful degradation, so their typed
         # refusals must be captured (and skipped below) even when other
         # errors still abort the run.
-        capture_errors=(on_error != "raise") or graceful,
+        capture_errors=(opts.on_error != "raise") or graceful,
     )
     report.workers = batch.workers_used
-    report.cache_hits = batch.cache_hits
-    report.cache_misses = batch.cache_misses
-    report.ref_cache_hits = batch.ref_cache_hits
-    report.ref_cache_misses = batch.ref_cache_misses
-    report.delta_memo_hits = batch.delta_memo_hits
-    report.delta_memo_misses = batch.delta_memo_misses
+    vars(report).update((key, getattr(batch, key)) for key in CACHE_COUNTERS)
     report.arena_used = batch.arena_used
     report.arena_bytes = batch.arena_bytes
+    tasks = {task.name: task for task in changed}
     for result in batch.files:
         name = result.name
+        outcome = result.outcome
         report.per_file_seconds[name] = result.elapsed_seconds
         report.cpu_seconds += result.cpu_seconds
-        failed = result.error is not None or not result.outcome.correct
-        skip_this = failed and on_error == "skip"
-        if failed and on_error == "raise" and graceful:
+        if outcome.retries:
+            report.retries[name] = outcome.retries
+        failed = result.error is not None or not outcome.correct
+        skip_this = failed and opts.on_error == "skip"
+        if failed and opts.on_error == "raise" and graceful:
             if result.error is not None and result.error.startswith(
                 ("DeadlineExceededError", "CircuitOpenError")
             ):
@@ -707,52 +467,33 @@ def _sync_collection_impl(
                 raise SyncFailedError(f"{name}: {result.error}")
         if skip_this:
             report.failed[name] = result.error or "IntegrityError: bad bytes"
-            report.per_file[name] = result.outcome
-            report.reconstructed[name] = client_files[name]
-            if result.outcome.retries:
-                report.retries[name] = result.outcome.retries
+            report.per_file[name] = outcome
+            report.reconstructed[name] = tasks[name].old
             continue
-        if failed and on_error == "fallback":
-            # Out-of-band rescue: a reliable compressed full transfer.
-            # Everything the doomed attempts sent is charged as
-            # retransmission on top of the rescue payload.
-            payload_bytes = len(zlib.compress(server_files[name], 9))
-            report.per_file[name] = MethodOutcome(
+        if failed and opts.on_error == "fallback":
+            # Out-of-band rescue: a reliable compressed full transfer
+            # replaces the wire accounting; everything the doomed
+            # attempts sent is charged as retransmission, and the
+            # attempts' other counters carry over.
+            payload_bytes = len(zlib.compress(tasks[name].new, 9))
+            outcome = replace(
+                outcome,
                 total_bytes=payload_bytes,
+                client_to_server=0,
                 server_to_client=payload_bytes,
                 breakdown={"s2c/rescue": payload_bytes},
-                retries=result.outcome.retries,
+                correct=True,
                 fallback_method="rescue-full",
                 retransmitted_bytes=(
-                    result.outcome.retransmitted_bytes
-                    + result.outcome.total_bytes
+                    outcome.retransmitted_bytes + outcome.total_bytes
                 ),
-                recovery_seconds=result.outcome.recovery_seconds,
-                rounds_salvaged=result.outcome.rounds_salvaged,
-                resume_handshake_bits=result.outcome.resume_handshake_bits,
-                checkpoint_bytes_written=(
-                    result.outcome.checkpoint_bytes_written
-                ),
-                health_score=result.outcome.health_score,
-                breaker_opens=result.outcome.breaker_opens,
-                deadline_salvages=result.outcome.deadline_salvages,
-                adaptive_backoff_s=result.outcome.adaptive_backoff_s,
-                collisions_detected=result.outcome.collisions_detected,
-                repair_rounds=result.outcome.repair_rounds,
-                repair_bytes=result.outcome.repair_bytes,
+                roundtrips=0,
             )
-            report.fallbacks[name] = "rescue-full"
-            if result.outcome.retries:
-                report.retries[name] = result.outcome.retries
-            report.reconstructed[name] = server_files[name]
-            continue
-        report.per_file[name] = result.outcome
-        report.reconstructed[name] = server_files[name]
-        if result.outcome.retries:
-            report.retries[name] = result.outcome.retries
-        if result.outcome.fallback_method:
-            report.fallbacks[name] = result.outcome.fallback_method
-        if verify and not result.outcome.correct:
+        report.per_file[name] = outcome
+        report.reconstructed[name] = tasks[name].new
+        if outcome.fallback_method:
+            report.fallbacks[name] = outcome.fallback_method
+        if opts.verify and not outcome.correct:
             raise IntegrityError(f"method {method.name} failed on {name}")
 
     # Wire-latency accounting for the sequential path: each file's
@@ -762,29 +503,10 @@ def _sync_collection_impl(
     from repro.net.channel import LinkModel
 
     outcomes = list(report.per_file.values())
-    report.sibling_refs_used += sum(o.sibling_refs_used for o in outcomes)
-    report.bytes_saved_vs_self_ref += sum(
-        o.bytes_saved_vs_self_ref for o in outcomes
-    )
     report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
     if outcomes:
-        report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
+        report.link_wall_clock_s = (opts.link or LinkModel()).transfer_seconds(
             [o.client_to_server for o in outcomes],
             [o.server_to_client for o in outcomes],
             [o.roundtrips for o in outcomes],
         )
-
-    if verify:
-        for name, data in server_files.items():
-            if name in report.failed:
-                continue  # explicitly skipped; the client keeps its copy
-            if report.reconstructed.get(name) != data:
-                raise IntegrityError(f"collection reconstruction differs at {name}")
-
-    if store is not None:
-        from repro.collection.store import CollectionStore
-
-        if not isinstance(store, CollectionStore):
-            store = CollectionStore(store)
-        store.write_collection(report.reconstructed)
-    return report

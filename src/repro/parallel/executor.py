@@ -52,6 +52,7 @@ import os
 import pickle
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.exceptions import ReproError
@@ -165,53 +166,70 @@ def _worker_init(
 
         _worker_arena = CollectionArena.attach(arena_name)
     if cache_entries is not None:
-        from repro.parallel.cache import default_cache, default_reference_cache
-
-        default_cache().ensure_capacity(cache_entries)
-        default_reference_cache().ensure_capacity(cache_entries)
-        from repro.reuse.memo import default_delta_memo
-
-        default_delta_memo().ensure_capacity(cache_entries)
+        for cache in _process_caches():
+            cache.ensure_capacity(cache_entries)
     if memo_enabled is not None:
         from repro.reuse.memo import set_delta_memo_enabled
 
         set_delta_memo_enabled(memo_enabled)
 
 
+def _process_caches() -> tuple:
+    """This process's hash-index, reference-index and delta-memo caches."""
+    from repro.parallel.cache import default_cache, default_reference_cache
+    from repro.reuse.memo import default_delta_memo
+
+    return default_cache(), default_reference_cache(), default_delta_memo()
+
+
+#: Report counter names of the hit/miss deltas of those caches, in order.
+CACHE_COUNTERS = tuple(
+    f"{cache}_{kind}"
+    for cache in ("cache", "ref_cache", "delta_memo")
+    for kind in ("hits", "misses")
+)
+
+
+@contextmanager
+def cache_deltas():
+    """Measure this process's cache traffic over a block.
+
+    Yields a dict that, when the block exits, holds the hit and miss
+    deltas of the hash-index, reference-index and delta-memo caches,
+    keyed by their report counter names (``cache_hits``,
+    ``ref_cache_misses``, ``delta_memo_hits``, ...).
+    """
+    stats = [cache.stats for cache in _process_caches()]
+
+    def totals() -> dict[str, int]:
+        values = [getattr(s, kind) for s in stats for kind in ("hits", "misses")]
+        return dict(zip(CACHE_COUNTERS, values))
+
+    before = totals()
+    deltas: dict[str, int] = {}
+    yield deltas
+    deltas.update((key, value - before[key]) for key, value in totals().items())
+
+
 def _run_chunk(
     method: SyncMethod,
     chunk: list[tuple[int, FileTask]],
     capture_errors: bool = False,
-) -> tuple[list[tuple[int, FileResult]], int, int, int, int, int, int]:
+) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
     """Worker entry point: run one chunk, report cache counter deltas."""
-    from repro.parallel.cache import default_cache, default_reference_cache
-    from repro.reuse.memo import default_delta_memo
-
-    stats = default_cache().stats
-    ref_stats = default_reference_cache().stats
-    memo_stats = default_delta_memo().stats
-    hits_before, misses_before = stats.hits, stats.misses
-    ref_hits_before, ref_misses_before = ref_stats.hits, ref_stats.misses
-    memo_hits_before, memo_misses_before = memo_stats.hits, memo_stats.misses
-    rows: list[tuple[int, FileResult]] = []
-    for index, task in chunk:
-        rows.append((index, _sync_one(method, task, capture_errors)))
-    return (
-        rows,
-        stats.hits - hits_before,
-        stats.misses - misses_before,
-        ref_stats.hits - ref_hits_before,
-        ref_stats.misses - ref_misses_before,
-        memo_stats.hits - memo_hits_before,
-        memo_stats.misses - memo_misses_before,
-    )
+    with cache_deltas() as deltas:
+        rows = [
+            (index, _sync_one(method, task, capture_errors))
+            for index, task in chunk
+        ]
+    return rows, deltas
 
 
 def _run_chunk_spans(
     method: SyncMethod,
     chunk,
     capture_errors: bool = False,
-) -> tuple[list[tuple[int, FileResult]], int, int, int, int, int, int]:
+) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
     """Arena worker entry point: spans in, payloads read zero-copy.
 
     Each ``(index, SpanTask)`` is materialised as a :class:`FileTask`
@@ -323,44 +341,19 @@ class SyncExecutor:
         failures to the file that caused them.
         """
         tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1 or not _is_picklable(method):
-            return self._run_serial(method, tasks, capture_errors)
-        try:
-            return self._run_parallel(method, tasks, capture_errors)
-        except Exception:
-            # Pool unavailable (sandboxed semaphores, fork limits):
-            # the serial path recomputes deterministically.
-            return self._run_serial(method, tasks, capture_errors)
-
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        method: SyncMethod,
-        tasks: list[FileTask],
-        capture_errors: bool = False,
-    ) -> BatchResult:
-        from repro.parallel.cache import default_cache, default_reference_cache
-        from repro.reuse.memo import default_delta_memo
-
-        stats = default_cache().stats
-        ref_stats = default_reference_cache().stats
-        memo_stats = default_delta_memo().stats
-        hits_before, misses_before = stats.hits, stats.misses
-        ref_hits_before, ref_misses_before = ref_stats.hits, ref_stats.misses
-        memo_hits_before, memo_misses_before = (
-            memo_stats.hits,
-            memo_stats.misses,
+        if self.workers > 1 and len(tasks) > 1 and _is_picklable(method):
+            try:
+                return self._run_parallel(method, tasks, capture_errors)
+            except Exception:
+                # Pool unavailable (sandboxed semaphores, fork limits):
+                # the serial path below recomputes deterministically.
+                pass
+        rows, deltas = _run_chunk(method, list(enumerate(tasks)), capture_errors)
+        return BatchResult(
+            files=[file_result for _index, file_result in rows],
+            workers_used=1,
+            **deltas,
         )
-        result = BatchResult(workers_used=1)
-        for task in tasks:
-            result.files.append(_sync_one(method, task, capture_errors))
-        result.cache_hits = stats.hits - hits_before
-        result.cache_misses = stats.misses - misses_before
-        result.ref_cache_hits = ref_stats.hits - ref_hits_before
-        result.ref_cache_misses = ref_stats.misses - ref_misses_before
-        result.delta_memo_hits = memo_stats.hits - memo_hits_before
-        result.delta_memo_misses = memo_stats.misses - memo_misses_before
-        return result
 
     def _acquire_arena(self, tasks: list[FileTask]):
         """The (arena, span_tasks) pair for this batch, or (None, None).
@@ -458,22 +451,10 @@ class SyncExecutor:
             result.chunk_retries += 1
 
         rows: list[tuple[int, FileResult]] = []
-        for (
-            chunk_rows,
-            hits,
-            misses,
-            ref_hits,
-            ref_misses,
-            memo_hits,
-            memo_misses,
-        ) in gathered:
+        for chunk_rows, deltas in gathered:
             rows.extend(chunk_rows)
-            result.cache_hits += hits
-            result.cache_misses += misses
-            result.ref_cache_hits += ref_hits
-            result.ref_cache_misses += ref_misses
-            result.delta_memo_hits += memo_hits
-            result.delta_memo_misses += memo_misses
+            for key, value in deltas.items():
+                setattr(result, key, getattr(result, key) + value)
         rows.sort(key=lambda row: row[0])
         result.files = [file_result for _index, file_result in rows]
         return result

@@ -8,7 +8,9 @@ concrete adapters) — keeping those two packages import-cycle free.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.counters import OUTCOME_MERGE
 
 
 @dataclass
@@ -43,6 +45,9 @@ class MethodOutcome:
     rejections, ``repair_rounds`` the group-digest descent roundtrips
     spent localizing them, and ``repair_bytes`` the wire bytes of the
     surgical repair exchanges (already included in ``total_bytes``).
+
+    Outcomes add field by field, each by its merge rule in
+    :mod:`repro.counters`.
     """
 
     total_bytes: int
@@ -65,56 +70,15 @@ class MethodOutcome:
     repair_rounds: int = 0
     repair_bytes: int = 0
     roundtrips: int = 0
-    #: Reuse-layer accounting (DESIGN §17), zero unless a sibling
-    #: reference served where only a literal transfer was possible:
-    #: ``sibling_refs_used`` counts files delta-coded against a similar
-    #: sibling instead of sent in full, ``bytes_saved_vs_self_ref`` the
-    #: wire bytes that choice saved versus the self-reference-only
-    #: baseline (a compressed full transfer).
-    sibling_refs_used: int = 0
-    bytes_saved_vs_self_ref: int = 0
 
     def __add__(self, other: "MethodOutcome") -> "MethodOutcome":
-        merged = dict(self.breakdown)
-        for key, value in other.breakdown.items():
-            merged[key] = merged.get(key, 0) + value
         return MethodOutcome(
-            total_bytes=self.total_bytes + other.total_bytes,
-            client_to_server=self.client_to_server + other.client_to_server,
-            server_to_client=self.server_to_client + other.server_to_client,
-            breakdown=merged,
-            correct=self.correct and other.correct,
-            retries=self.retries + other.retries,
-            fallback_method=self.fallback_method or other.fallback_method,
-            retransmitted_bytes=(
-                self.retransmitted_bytes + other.retransmitted_bytes
-            ),
-            recovery_seconds=self.recovery_seconds + other.recovery_seconds,
-            rounds_salvaged=self.rounds_salvaged + other.rounds_salvaged,
-            resume_handshake_bits=(
-                self.resume_handshake_bits + other.resume_handshake_bits
-            ),
-            checkpoint_bytes_written=(
-                self.checkpoint_bytes_written + other.checkpoint_bytes_written
-            ),
-            health_score=min(self.health_score, other.health_score),
-            breaker_opens=self.breaker_opens + other.breaker_opens,
-            deadline_salvages=self.deadline_salvages + other.deadline_salvages,
-            adaptive_backoff_s=(
-                self.adaptive_backoff_s + other.adaptive_backoff_s
-            ),
-            collisions_detected=(
-                self.collisions_detected + other.collisions_detected
-            ),
-            repair_rounds=self.repair_rounds + other.repair_rounds,
-            repair_bytes=self.repair_bytes + other.repair_bytes,
-            roundtrips=self.roundtrips + other.roundtrips,
-            sibling_refs_used=(
-                self.sibling_refs_used + other.sibling_refs_used
-            ),
-            bytes_saved_vs_self_ref=(
-                self.bytes_saved_vs_self_ref + other.bytes_saved_vs_self_ref
-            ),
+            **{
+                f.name: OUTCOME_MERGE[f.name](
+                    getattr(self, f.name), getattr(other, f.name)
+                )
+                for f in fields(self)
+            }
         )
 
 

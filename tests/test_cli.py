@@ -253,3 +253,56 @@ class TestChaosCommand:
     def test_unknown_shape_rejected(self, capsys):
         assert main(["chaos", "--shapes", "lumpy"]) == 2
         assert "unknown shape" in capsys.readouterr().err
+
+
+class TestBatchedOutputAndRefusals:
+    def test_batched_output_writes_collection(self, dir_pair, tmp_path,
+                                              capsys):
+        old_dir, new_dir = dir_pair
+        out = tmp_path / "out"
+        assert main(["sync", str(old_dir), str(new_dir), "--batched",
+                     "--output", str(out)]) == 0
+        written = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()
+        }
+        expected = {
+            str(p.relative_to(new_dir)): p.read_bytes()
+            for p in new_dir.rglob("*") if p.is_file()
+        }
+        assert written == expected
+
+    @pytest.mark.parametrize("flag", ["--pipeline", "--sibling-refs"])
+    def test_batched_refuses_ignored_flags(self, dir_pair, capsys, flag):
+        old_dir, new_dir = dir_pair
+        assert main(["sync", str(old_dir), str(new_dir), "--batched",
+                     flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --batched does not support")
+        assert flag in err
+
+
+class TestOptionRefusals:
+    """Every SyncOptions.validate() refusal is `error: <reason>`, exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [
+            (["--resemblance-threshold", "1.5"], "resemblance_threshold"),
+            (["--resemblance-threshold", "nan"], "resemblance_threshold"),
+            (["--window", "0"], "window"),
+            (["--resume"], "durable checkpoint location"),
+            (["--pipeline", "--method", "rsync"], "does not support pipelined"),
+            (["--pipeline", "--fault-rate", "0.1"], "incompatible"),
+            (["--pipeline", "--retries", "2"], "incompatible"),
+            (["--pipeline", "--on-error", "skip"], "on_error"),
+        ],
+    )
+    def test_refusal_exit_code_and_reason(self, dir_pair, capsys, flags,
+                                          reason):
+        old_dir, new_dir = dir_pair
+        assert main(["sync", str(old_dir), str(new_dir), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert reason in err
+        assert "Traceback" not in err

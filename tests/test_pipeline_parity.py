@@ -264,6 +264,39 @@ class TestPipelineParity:
             )
 
 
+class TestPipelinedCacheCounters:
+    """Both schedulers report the same process-cache traffic: the
+    pipelined path measures the index, reference and delta-memo caches
+    around its run exactly as the executor does around its batch."""
+
+    @pytest.mark.parametrize(
+        "method_factory", [OursMethod, MultiroundRsyncMethod],
+        ids=["ours", "multiround"],
+    )
+    def test_cache_counters_match_sequential(self, method_factory):
+        from repro.parallel import (
+            reset_default_cache,
+            reset_default_reference_cache,
+        )
+        from repro.parallel.executor import CACHE_COUNTERS
+        from repro.reuse.memo import reset_default_delta_memo
+        from repro.workloads import gcc_like
+
+        tree = gcc_like(0.1, seed=1)
+        counters = {}
+        for pipeline in (False, True):
+            reset_default_cache()
+            reset_default_reference_cache()
+            reset_default_delta_memo()
+            report = sync_collection(
+                tree.old, tree.new, method_factory(),
+                pipeline=pipeline, delta_memo=True,
+            )
+            counters[pipeline] = {k: getattr(report, k) for k in CACHE_COUNTERS}
+        assert counters[True] == counters[False]
+        assert counters[True]["cache_hits"] > 0
+
+
 # ----------------------------------------------------------------------
 # Crash mid-wave, resume under the other scheduler
 # ----------------------------------------------------------------------
