@@ -101,11 +101,14 @@ class SortedPositionMap:
         out = np.full(keys.shape, -1, dtype=np.int64)
         if sorted_keys.size == 0 or keys.size == 0:
             return out
-        at = np.searchsorted(sorted_keys, keys)
-        inside = at < sorted_keys.size
-        found = inside.copy()
-        found[inside] = sorted_keys[at[inside]] == keys[inside]
-        out[found] = self._sorted_values[at[found]]
+        # Sorted queries walk the sorted keys monotonically (cache-friendly
+        # binary searches); the results are scattered back to query order.
+        order = np.argsort(keys, axis=None)
+        ordered = keys.ravel()[order]
+        at = np.searchsorted(sorted_keys, ordered)
+        np.minimum(at, sorted_keys.size - 1, out=at)
+        found = sorted_keys[at] == ordered
+        out.ravel()[order[found]] = self._sorted_values[at[found]]
         return out
 
 

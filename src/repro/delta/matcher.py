@@ -35,6 +35,7 @@ from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import (
     next_occupied_table,
     sorted_range_pair,
+    stable_sort_uint32,
     window_hashes,
 )
 from repro.hashing.strong import file_fingerprint
@@ -130,9 +131,9 @@ class ReferenceMatcher:
         self.fingerprint = (
             file_fingerprint(reference) if fingerprint is None else fingerprint
         )
-        full = window_hashes(reference, seed_length, _SEED_HASHER)
-        self._order = np.argsort(full, kind="stable")
-        self._sorted = full[self._order]
+        self._order, self._sorted = stable_sort_uint32(
+            window_hashes(reference, seed_length, _SEED_HASHER)
+        )
 
     @property
     def nbytes(self) -> int:
@@ -236,7 +237,7 @@ def compute_instructions(
     index construction across several targets; without one the process-wide
     :class:`~repro.parallel.cache.ReferenceIndexCache` is consulted so
     repeated references (version chains, sync retries, benchmark rounds)
-    never rebuild the argsort index.  Pass ``cache=False`` for a private
+    never rebuild the sorted seed index.  Pass ``cache=False`` for a private
     uncached build, or a specific cache instance to use instead.
 
     ``engine`` selects the matching core (see module docstring); both

@@ -5,13 +5,17 @@ its own file.  Doing that with a per-byte Python rolling loop would make
 the benchmarks CPU-bound and meaningless, so this module computes the
 decomposable-Adler hash of all windows at once with numpy prefix sums:
 
-* ``a``-component of window ``[i, i+L)`` is a difference of prefix sums of
-  the substituted bytes;
-* ``b``-component is ``(L + i) * (S[i+L] - S[i]) - (W[i+L] - W[i])`` where
-  ``W`` is the prefix sum of ``j * m[j]``.
+* ``a``-component of window ``[i, i+L)`` is ``S[i+L] - S[i]``, a
+  difference of prefix sums ``S`` of the substituted bytes;
+* ``b``-component is ``(Q[i+L] - Q[i]) - L * S[i]`` where ``Q`` is the
+  prefix sum of ``S`` itself: byte ``j`` of the window is counted once
+  in every ``S[k] - S[i]`` with ``j < k <= i+L``, i.e. ``i + L - j``
+  times, exactly its weight in the rolling ``b``.
 
-All arithmetic uses uint64 wraparound, which is exact modulo ``2**64`` and
-therefore exact modulo ``2**16`` after masking.
+All arithmetic uses uint32 wraparound, which is exact modulo ``2**32`` and
+therefore exact modulo ``2**16`` after masking — the hash keeps only the
+low 16 bits of each component, so 32-bit lanes lose nothing and halve
+the memory traffic of every pass.
 """
 
 from __future__ import annotations
@@ -22,22 +26,27 @@ import numpy as np
 
 from repro.hashing.decomposable import DecomposableAdler, component_widths
 
-_MASK16 = np.uint64(0xFFFF)
+_MASK16 = np.uint32(0xFFFF)
+_SHIFT16 = np.uint32(16)
+_SHIFT32 = np.uint64(32)
+#: Positions per pass of the chunked full-array scans.
+_CHUNK = 1 << 16
 
 
 class PrefixSums(NamedTuple):
     """The two prefix-sum arrays behind every window-hash computation.
 
     ``prefix[i]`` is the sum of the substituted bytes ``T[data[0..i)]`` and
-    ``weighted[i]`` the sum of ``j * T[data[j]]`` over the same range, both
-    uint64 arrays of length ``len(data) + 1``.  :func:`window_hashes` and
+    ``nested[i]`` the sum ``prefix[1] + ... + prefix[i]``, both uint32
+    arrays of length ``len(data) + 1`` holding the sums modulo ``2**32``
+    (4 bytes per position each).  :func:`window_hashes` and
     :class:`PrefixHasher` used to each compute their own copies; building
     them once here lets callers (and the hash-index cache) share one pair
     of buffers across every window length and every sync of the same data.
     """
 
     prefix: np.ndarray
-    weighted: np.ndarray
+    nested: np.ndarray
 
     @property
     def data_length(self) -> int:
@@ -46,20 +55,18 @@ class PrefixSums(NamedTuple):
     @property
     def nbytes(self) -> int:
         """Memory footprint of both buffers (cache budgeting)."""
-        return int(self.prefix.nbytes + self.weighted.nbytes)
+        return int(self.prefix.nbytes + self.nested.nbytes)
 
 
 def prefix_sums(data: bytes, hasher: DecomposableAdler) -> PrefixSums:
     """Compute the shared prefix-sum pair for ``data`` under ``hasher``."""
     n = len(data)
     raw = np.frombuffer(data, dtype=np.uint8)
-    table = np.asarray(hasher.table, dtype=np.uint64)
-    mapped = table[raw]
-    prefix = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(mapped, out=prefix[1:])
-    weighted = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(mapped * np.arange(n, dtype=np.uint64), out=weighted[1:])
-    return PrefixSums(prefix, weighted)
+    # Only the low 16 bits of a table entry reach the hash.
+    table = np.array([entry & 0xFFFF for entry in hasher.table], np.uint32)
+    prefix = np.zeros(n + 1, dtype=np.uint32)
+    np.cumsum(table[raw], dtype=np.uint32, out=prefix[1:])
+    return PrefixSums(prefix, np.cumsum(prefix, dtype=np.uint32))
 
 
 def window_hashes_from_sums(sums: PrefixSums, length: int) -> np.ndarray:
@@ -69,16 +76,24 @@ def window_hashes_from_sums(sums: PrefixSums, length: int) -> np.ndarray:
     n = sums.data_length
     if n < length:
         return np.empty(0, dtype=np.uint32)
-    prefix, weighted = sums.prefix, sums.weighted
-    with np.errstate(over="ignore"):
-        window_sum = prefix[length:] - prefix[:-length]
-        starts = np.arange(n - length + 1, dtype=np.uint64)
-        b = (np.uint64(length) + starts) * window_sum - (
-            weighted[length:] - weighted[:-length]
-        )
-    a16 = (window_sum & _MASK16).astype(np.uint32)
-    b16 = (b & _MASK16).astype(np.uint32)
-    return a16 | (b16 << np.uint32(16))
+    prefix, nested = sums.prefix, sums.nested
+    count = n - length + 1
+    minus_length = np.uint32(-length & 0xFFFFFFFF)
+    out = np.empty(count, dtype=np.uint32)
+    # In place, modulo 2**32, one cache-sized chunk at a time: ``a`` holds
+    # the window sums and ``b`` becomes ``Q[i+L] - Q[i] - L * S[i]``; the
+    # final shift drops every bit above the low 16 of ``b``.
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        a = out[lo:hi]
+        np.subtract(prefix[lo + length : hi + length], prefix[lo:hi], out=a)
+        b = np.multiply(prefix[lo:hi], minus_length)
+        b += nested[lo + length : hi + length]
+        b -= nested[lo:hi]
+        b <<= _SHIFT16
+        a &= _MASK16
+        a |= b
+    return out
 
 
 def window_hashes(
@@ -96,6 +111,31 @@ def window_hashes(
     return window_hashes_from_sums(prefix_sums(data, hasher), length)
 
 
+def stable_sort_uint32(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, values[order])`` for a stable ascending sort of ``values``.
+
+    Identical to a stable ``np.argsort`` plus a gather, but each value is
+    packed with its position into one uint64 key ``(value << 32) |
+    position``: the keys are unique, so a plain (unstable, SIMD)
+    ``ndarray.sort`` already yields the stable order, and both outputs
+    are split back out of the sorted keys — one sort of contiguous keys
+    instead of an indirect sort plus a gather.  ``order`` is uint32.
+    Only uint32 values and fewer than ``2**32`` positions fit the key.
+    """
+    if values.dtype != np.uint32:
+        raise TypeError(f"values must be uint32, got {values.dtype}")
+    count = int(values.size)
+    if count >= 1 << 32:
+        raise ValueError(f"cannot sort {count} positions (limit is 2**32 - 1)")
+    keys = values.astype(np.uint64).ravel()
+    keys <<= _SHIFT32
+    keys |= np.arange(count, dtype=np.uint64)
+    keys.sort()
+    order = keys.astype(np.uint32)
+    keys >>= _SHIFT32
+    return order, keys.astype(np.uint32)
+
+
 def sorted_range_pair(
     sorted_values: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,13 +147,13 @@ def sorted_range_pair(
     walk ``sorted_values`` monotonically (cache-friendly; ~2x faster
     than querying in file order on large scans) and the results are
     scattered back to the original query order, so the output is
-    byte-identical to querying one position at a time.
+    byte-identical to querying one position at a time.  ``queries`` must
+    be uint32 (see :func:`stable_sort_uint32`).
     """
     if queries.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    order = np.argsort(queries, kind="stable")
-    ordered = queries[order]
+    order, ordered = stable_sort_uint32(queries)
     lo = np.searchsorted(sorted_values, ordered, side="left")
     hi = np.searchsorted(sorted_values, ordered, side="right")
     out_lo = np.empty_like(lo)
@@ -189,14 +229,18 @@ class PrefixHasher:
                 f"{len(data)}"
             )
         self._prefix = sums.prefix
-        self._weighted = sums.weighted
+        self._nested = sums.nested
 
     @property
     def data_length(self) -> int:
         return self._length
 
     def block_pair(self, start: int, length: int):
-        """The ``(a, b)`` hash pair of ``data[start : start + length]``."""
+        """The ``(a, b)`` hash pair of ``data[start : start + length]``.
+
+        Python ints over the modulo-``2**32`` sums: a negative difference
+        still masks to the right low 16 bits.
+        """
         from repro.hashing.decomposable import HashPair
 
         if length <= 0:
@@ -207,12 +251,10 @@ class PrefixHasher:
                 f"length {self._length}"
             )
         end = start + length
-        with np.errstate(over="ignore"):
-            window_sum = self._prefix[end] - self._prefix[start]
-            b = np.uint64(length + start) * window_sum - (
-                self._weighted[end] - self._weighted[start]
-            )
-        return HashPair(int(window_sum) & 0xFFFF, int(b) & 0xFFFF)
+        head = int(self._prefix[start])
+        window_sum = int(self._prefix[end]) - head
+        b = int(self._nested[end]) - int(self._nested[start]) - length * head
+        return HashPair(window_sum & 0xFFFF, b & 0xFFFF)
 
     def packed(self, start: int, length: int, width: int) -> int:
         """Packed ``width``-bit hash of the region."""
@@ -242,28 +284,30 @@ class PrefixHasher:
                 f"regions outside data of length {self._length} "
                 "(or non-positive lengths)"
             )
-        with np.errstate(over="ignore"):
-            window_sum = self._prefix[ends] - self._prefix[starts]
-            b = (lengths + starts).astype(np.uint64) * window_sum - (
-                self._weighted[ends] - self._weighted[starts]
-            )
-        a16 = (window_sum & _MASK16).astype(np.uint32)
-        b16 = (b & _MASK16).astype(np.uint32)
-        return a16 | (b16 << np.uint32(16))
+        # Same modulo-2**32 arithmetic as window_hashes_from_sums.
+        head = self._prefix[starts]
+        out = self._prefix[ends] - head
+        b = self._nested[ends] - self._nested[starts]
+        head *= lengths.astype(np.uint32)
+        b -= head
+        b <<= _SHIFT16
+        out &= _MASK16
+        out |= b
+        return out
 
 
 class _WidthIndex:
     """Sorted lookup structure for one truncated hash width."""
 
     def __init__(self, full_hashes: np.ndarray, width: int) -> None:
-        packed = pack_to_width(full_hashes, width)
-        self._order = np.argsort(packed, kind="stable")
-        self._sorted = packed[self._order]
+        self._order, self._sorted = stable_sort_uint32(
+            pack_to_width(full_hashes, width)
+        )
 
     def lookup(self, value: int, max_results: int) -> list[int]:
         """Window start positions whose truncated hash equals ``value``.
 
-        Positions come back ascending: the stable argsort keeps equal
+        Positions come back ascending: the stable sort keeps equal
         hashes in original (positional) order.
         """
         lo = int(np.searchsorted(self._sorted, value, side="left"))
@@ -273,22 +317,6 @@ class _WidthIndex:
         # tolist() converts the whole slice to Python ints in C, instead
         # of boxing one numpy scalar per element.
         return self._order[lo:hi].tolist()
-
-    def lookup_first_many(self, values: np.ndarray) -> np.ndarray:
-        """First (lowest) matching position per query, ``-1`` when absent.
-
-        One :func:`sorted_range_pair` call answers the whole query batch;
-        ``order[lo]`` is the first match because the stable argsort keeps
-        equal hashes in ascending positional order — exactly the
-        ``lookup(...)[0]`` the scalar path takes.
-        """
-        lo, hi = sorted_range_pair(
-            self._sorted, np.asarray(values, dtype=self._sorted.dtype)
-        )
-        first = np.full(lo.shape, -1, dtype=np.int64)
-        found = hi > lo
-        first[found] = self._order[lo[found]]
-        return first
 
 
 class HashIndex:
@@ -357,55 +385,52 @@ class HashIndex:
         value — this is the whole-round candidate lookup both protocol
         engines use instead of N scalar probes.
 
-        When no :class:`_WidthIndex` exists yet for ``width`` the batch is
-        answered by a *reverse* lookup — sort the (small) query batch and
-        scan the full hash array against it — which is ``O(n log q)``
-        instead of the ``O(n log n)`` argsort a width index costs to
-        build.  A whole protocol round needs each ``(length, width)``
-        combination only once or twice, so building the index never pays
-        for itself; the scalar :meth:`lookup` path still builds (and then
-        reuses) it.
+        The batch is answered by a *reverse* lookup that never sorts the
+        ``n`` indexed positions: a ``2**a_bits`` table marks the ``a``
+        components of the queries, one gather over the full hash array
+        keeps only positions whose ``a`` bits can match, and just those
+        candidates are packed and binary-searched against the sorted
+        queries.  A round needs each ``(length, width)`` combination only
+        once or twice, so an ``O(n log n)`` width index never pays for
+        itself here; the scalar :meth:`lookup` path still builds (and
+        then reuses) it.
         """
         values = np.asarray(values)
-        if self._full.size == 0:
-            return np.full(values.shape, -1, dtype=np.int64)
-        index = self._by_width.get(width)
-        if index is not None:
-            return index.lookup_first_many(values)
-        packed = pack_to_width(self._full, width)
-        queries = values.astype(packed.dtype, copy=False)
-        if queries.size <= 128:
-            # Small batch: one SIMD equality scan per query beats the
-            # per-element overhead of a length-n searchsorted.
-            out = np.full(queries.size, -1, dtype=np.int64)
-            flat = queries.ravel()
-            for at, value in enumerate(flat.tolist()):
-                hits = packed == np.uint32(value)
-                first = int(hits.argmax())
-                if hits[first]:
-                    out[at] = first
-            return out.reshape(values.shape)
-        order = np.argsort(queries, kind="stable")
-        sorted_queries = queries[order]
-        # isin prunes the length-n side to actual hits first, so the
-        # per-element searchsorted below only binary-searches hits.
-        hit_positions = np.flatnonzero(np.isin(packed, sorted_queries))
-        slot = np.searchsorted(sorted_queries, packed[hit_positions])
+        out = np.full(values.shape, -1, dtype=np.int64)
+        if self._full.size == 0 or values.size == 0:
+            return out
+        a_bits, _ = component_widths(width)
+        a_mask = np.uint32((1 << a_bits) - 1)
+        queries = values.astype(np.uint32).ravel()
+        marked = np.zeros(1 << a_bits, dtype=bool)
+        marked[queries & a_mask] = True
+        # Chunked so the temporaries (``take`` copies its indices to
+        # intp) stay cache-sized instead of faulting in fresh pages.
+        candidates = np.concatenate([
+            np.flatnonzero(marked.take(self._full[lo : lo + _CHUNK] & a_mask))
+            + lo
+            for lo in range(0, self._full.size, _CHUNK)
+        ])
+        packed = pack_to_width(self._full.take(candidates), width)
+        order, sorted_queries = stable_sort_uint32(queries)
+        slot = np.searchsorted(sorted_queries, packed)
+        np.minimum(slot, sorted_queries.size - 1, out=slot)
+        hit = sorted_queries[slot] == packed
+        slot = slot[hit]
+        candidates = candidates[hit]
         first_sorted = np.full(sorted_queries.size, -1, dtype=np.int64)
         # Reversed assignment: with duplicate slots the LAST write wins,
         # so reversing makes the lowest position stick — the same "first
-        # match" the stable width-index argsort would return.
-        first_sorted[slot[::-1]] = hit_positions[::-1]
+        # match" the stable width-index sort would return.
+        first_sorted[slot[::-1]] = candidates[::-1]
         # Duplicate query values occupy distinct slots but searchsorted
         # maps every hit to the leftmost equal slot; fan the result back
         # out to all duplicates before undoing the query sort.
         representative = np.searchsorted(
             sorted_queries, sorted_queries, side="left"
         )
-        first_sorted = first_sorted[representative]
-        out = np.empty(queries.size, dtype=np.int64)
-        out[order] = first_sorted
-        return out.reshape(values.shape)
+        out.ravel()[order] = first_sorted[representative]
+        return out
 
     def lookup_in_range(
         self, value: int, width: int, lo: int, hi: int, max_results: int = 8

@@ -11,7 +11,7 @@ session observing the same data under the same hash function reuses them:
 * :class:`~repro.hashing.scan.HashIndex` arrays additionally carry the
   window ``block_length``;
 * delta :class:`~repro.delta.matcher.ReferenceMatcher` seed indexes (the
-  argsort over all reference window hashes) are keyed by
+  stable sort of all reference window hashes) are keyed by
   ``(file_fingerprint, seed_length)`` in a separate
   :class:`ReferenceIndexCache`, so multi-round syncs and repeated
   references skip the index rebuild entirely.
@@ -47,8 +47,9 @@ from repro.hashing.strong import file_fingerprint
 DEFAULT_MAX_ENTRIES = 256
 
 #: Default entry count for the reference-index cache.  Each entry holds
-#: the reference bytes plus ~12 bytes of index per position, so the
-#: budget is deliberately tighter than the hash-index cache's.
+#: the reference bytes plus 8 bytes of index per position (uint32 order
+#: and sorted hash), so the budget is deliberately tighter than the
+#: hash-index cache's.
 DEFAULT_REFERENCE_ENTRIES = 128
 
 
@@ -258,7 +259,7 @@ class ReferenceIndexCache(ContentKeyedCache):
     The delta coders consult it through
     :func:`~repro.delta.matcher.compute_instructions`, so syncing several
     targets against one reference — version chains, supervisor retries,
-    zdelta *and* vcdiff encodes of the same pair — builds the argsort
+    zdelta *and* vcdiff encodes of the same pair — builds the sorted
     index once.  The seed hasher is the module-fixed ``_SEED_HASHER`` of
     :mod:`repro.delta.matcher`, so no hash-table id is needed in the key.
     """

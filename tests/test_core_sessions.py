@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ProtocolConfig
-from repro.core.client import ClientSession
+from repro.core.client import ClientSession, SortedPositionMap
 from repro.core.planning import plan_continuation, plan_global
 from repro.core.server import ServerSession
 from repro.exceptions import ProtocolError
@@ -162,3 +165,24 @@ class TestSessionCacheReuse:
         ClientSession(data, CONFIG.with_overrides(hash_seed=99), cache=cache)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
+
+
+class TestSortedPositionMap:
+    @given(
+        st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 1000))),
+        st.lists(st.integers(-60, 60), max_size=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_get_many_matches_dict_semantics(self, writes, probes):
+        position_map = SortedPositionMap()
+        reference: dict[int, int] = {}
+        for key, value in writes:
+            position_map[key] = value
+            reference[key] = value
+        keys = np.asarray(probes, dtype=np.int64)
+        got = position_map.get_many(keys)
+        assert got.dtype == np.int64
+        assert got.tolist() == [reference.get(k, -1) for k in probes]
+        assert [position_map.get(k) for k in probes] == [
+            reference.get(k) for k in probes
+        ]

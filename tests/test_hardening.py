@@ -57,7 +57,7 @@ class TestBitstreamInterleaving:
 class TestExtremeSizes:
     def test_one_megabyte_file(self):
         """A single larger file end to end (exercises numpy paths at a
-        size where uint64 prefix sums matter)."""
+        size where the uint32 prefix sums wrap past ``2**32``)."""
         rng = random.Random(6)
         import sys
 

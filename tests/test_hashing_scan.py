@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import DecomposableAdler, HashIndex, PrefixHasher, window_hashes
-from repro.hashing.scan import pack_to_width
+from repro.hashing.scan import (
+    pack_to_width,
+    prefix_sums,
+    stable_sort_uint32,
+    window_hashes_from_sums,
+)
 
 HASHER = DecomposableAdler(seed=5)
 
@@ -36,14 +41,71 @@ class TestWindowHashes:
             pair = HASHER.hash_block(data[i : i + length])
             assert int(hashes[i]) == pair.a | (pair.b << 16)
 
-    def test_uint64_wraparound_consistency(self):
-        """Large inputs exercise the modular wraparound path."""
-        rng = random.Random(9)
-        data = bytes(rng.randrange(256) for _ in range(100_000))
-        hashes = window_hashes(data, 64, HASHER)
-        for i in (0, 50_000, len(data) - 64):
-            pair = HASHER.hash_block(data[i : i + 64])
-            assert int(hashes[i]) == pair.a | (pair.b << 16)
+    def test_uint32_wraparound_consistency(self):
+        """A 2 MiB input wraps both prefix sums past ``2**32``; every
+        32-bit kernel must still agree with the direct hash."""
+        data = random.Random(9).randbytes(2 << 20)
+        raw = np.frombuffer(data, dtype=np.uint8)
+        mapped = np.asarray(HASHER.table, dtype=np.uint64)[raw]
+        assert int(mapped.sum()) >= 1 << 32
+        assert int((mapped * np.arange(raw.size, dtype=np.uint64)).sum()) >= (
+            1 << 32
+        )
+        for hasher in (HASHER, DecomposableAdler.identity()):
+            sums = prefix_sums(data, hasher)
+            assert sums.prefix.dtype == sums.nested.dtype == np.uint32
+            prefix = PrefixHasher(data, hasher, sums=sums)
+            starts, lengths = [], []
+            for length in (1, 16, 2048):
+                hashes = window_hashes_from_sums(sums, length)
+                last = len(data) - length
+                for start in (0, last // 2, last):
+                    pair = hasher.hash_block(data[start : start + length])
+                    assert int(hashes[start]) == pair.a | (pair.b << 16)
+                    assert prefix.block_pair(start, length) == pair
+                    starts.append(start)
+                    lengths.append(length)
+            batched = prefix.block_pairs(starts, lengths)
+            for at, (start, length) in enumerate(zip(starts, lengths)):
+                pair = hasher.hash_block(data[start : start + length])
+                assert int(batched[at]) == pair.a | (pair.b << 16)
+
+
+class TestStableSortUint32:
+    @given(
+        st.lists(st.integers(0, 7), max_size=300),
+        st.integers(0, (1 << 32) - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_stable_argsort_at_every_width(self, small, spread):
+        # Heavy duplication: a handful of distinct full hashes.
+        full = (np.asarray(small, dtype=np.uint64) * spread).astype(np.uint32)
+        for width in range(1, 33):
+            values = pack_to_width(full, width)
+            order, ordered = stable_sort_uint32(values)
+            expected = np.argsort(values, kind="stable")
+            assert order.dtype == ordered.dtype == np.uint32
+            assert np.array_equal(order, expected)
+            assert np.array_equal(ordered, values[expected])
+
+    def test_extreme_values(self):
+        values = np.array(
+            [0xFFFFFFFF, 0, 0xFFFFFFFF, 1, 0, 0x80000000], dtype=np.uint32
+        )
+        order, ordered = stable_sort_uint32(values)
+        assert order.tolist() == [1, 4, 3, 5, 0, 2]
+        assert ordered.tolist() == [0, 0, 1, 0x80000000, 0xFFFFFFFF, 0xFFFFFFFF]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint16])
+    def test_refuses_non_uint32(self, dtype):
+        with pytest.raises(TypeError):
+            stable_sort_uint32(np.arange(4, dtype=dtype))
+
+    def test_refuses_2_to_the_32_positions(self):
+        # A zero-stride view: 2**32 elements without the memory.
+        values = np.broadcast_to(np.uint32(0), (1 << 32,))
+        with pytest.raises(ValueError):
+            stable_sort_uint32(values)
 
 
 class TestPackToWidth:
@@ -191,3 +253,60 @@ class TestLookupTypesAndEquivalence:
                 value, width, 100, 900, max_results=5
             )
             assert positions == list(range(100, 105))
+
+
+def _scalar_first(index: HashIndex, values, width: int) -> list[int]:
+    out = []
+    for value in values:
+        positions = index.lookup(int(value), width)
+        out.append(positions[0] if positions else -1)
+    return out
+
+
+class TestLookupManyParity:
+    """``lookup_many(values, w)`` is ``lookup(v, w)[0]`` (or ``-1``) per
+    value, whatever the batch, width or data."""
+
+    @given(
+        seed=st.integers(0, 1 << 16),
+        width=st.integers(1, 32),
+        batch=st.sampled_from([1, 128, 129, 5000]),
+        alphabet=st.sampled_from([2, 4, 256]),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_lookup(self, seed, width, batch, alphabet, warm):
+        rng = np.random.default_rng(seed)
+        # Small alphabets make repetitive data: many windows share a hash.
+        data = rng.integers(0, alphabet, 3000, dtype=np.uint8).tobytes()
+        index = HashIndex(data, 12, HASHER)
+        packed = pack_to_width(window_hashes(data, 12, HASHER), width)
+        present = packed[rng.integers(0, packed.size, batch)]
+        random_values = rng.integers(0, 1 << width, batch, dtype=np.uint64)
+        # Mix present values (duplicates likely) with arbitrary, mostly
+        # absent ones.
+        values = np.where(rng.random(batch) < 0.5, present, random_values)
+        if warm:
+            index.lookup(int(values[0]), width)  # width index now exists
+            assert width in index._by_width
+        first = index.lookup_many(values, width)
+        assert first.dtype == np.int64
+        assert first.tolist() == _scalar_first(index, values, width)
+
+    def test_every_width_with_duplicate_and_absent_queries(self):
+        data = b"abcabcabd" * 300
+        index = HashIndex(data, 9, HASHER)
+        absent_data = HashIndex(bytes(range(256)) * 2, 9, HASHER)
+        for width in range(1, 33):
+            values = [index.packed_hash_at(p, width) for p in (5, 0, 5, 7, 0)]
+            values += [absent_data.packed_hash_at(p, width) for p in (3, 90)]
+            first = index.lookup_many(np.asarray(values, dtype=np.uint64), width)
+            assert first.tolist() == _scalar_first(index, values, width)
+
+    def test_empty_index_and_empty_batch(self):
+        assert HashIndex(b"ab", 16, HASHER).lookup_many([1, 2], 20).tolist() == [
+            -1,
+            -1,
+        ]
+        index = HashIndex(bytes(range(200)), 16, HASHER)
+        assert index.lookup_many(np.empty(0, dtype=np.uint64), 20).size == 0
