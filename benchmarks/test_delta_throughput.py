@@ -14,11 +14,10 @@ exercised on structured source text instead of adversarial noise.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from conftest import publish
+from repro.bench.perfbaseline import best_of
 from repro.bench.report import render_table
 from repro.delta.matcher import ReferenceMatcher, compute_instructions
 
@@ -37,13 +36,11 @@ def _changed_pairs(tree) -> list[tuple[str, bytes, bytes]]:
 
 
 def _time_engine(engine: str, pairs, matchers, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
+    def run() -> None:
         for (_name, old, new), matcher in zip(pairs, matchers):
             compute_instructions(old, new, matcher=matcher, engine=engine)
-        best = min(best, time.perf_counter() - started)
-    return best
+
+    return best_of(rounds, run)
 
 
 @pytest.mark.parametrize("tree_fixture", ["gcc_tree", "emacs_tree"])

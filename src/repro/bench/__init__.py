@@ -21,15 +21,15 @@ from repro.bench.methods import (
 )
 from repro.bench.export import export_runs, run_to_row
 from repro.bench.perfbaseline import (
-    DEFAULT_BASELINE_NAME,
-    DEFAULT_PIPELINE_BASELINE_NAME,
+    SUITES,
     FingerprintProbeMethod,
     OpTiming,
     PerfBaseline,
+    Ratio,
+    Suite,
     compare_baselines,
     load_baseline,
-    measure,
-    measure_pipeline,
+    measure_suite,
     render_baseline,
     save_baseline,
 )
@@ -47,8 +47,6 @@ from repro.bench.soak import (
 __all__ = [
     "AdaptiveMethod",
     "CollectionRun",
-    "DEFAULT_BASELINE_NAME",
-    "DEFAULT_PIPELINE_BASELINE_NAME",
     "DEFAULT_SEEDS",
     "DEFAULT_SHAPES",
     "SOAK_PROFILES",
@@ -61,8 +59,11 @@ __all__ = [
     "OpTiming",
     "OursMethod",
     "PerfBaseline",
+    "Ratio",
     "RsyncMethod",
     "RsyncOptimalMethod",
+    "SUITES",
+    "Suite",
     "SyncMethod",
     "VcdiffMethod",
     "ZdeltaMethod",
@@ -70,8 +71,7 @@ __all__ = [
     "export_runs",
     "format_kb",
     "load_baseline",
-    "measure",
-    "measure_pipeline",
+    "measure_suite",
     "render_baseline",
     "render_grouped_bars",
     "render_table",

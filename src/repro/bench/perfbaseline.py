@@ -1,93 +1,54 @@
-"""Perf-regression baseline for the parallel substrate (BENCH_parallel.json).
+"""Perf-regression baselines: one registry of suites (``BENCH_<suite>.json``).
 
 The paper's closing note (§6.2) concedes the prototype "runs at a speed
 of up to a few MB of raw data per second" — CPU throughput, not wire
 bytes, is the deployment bottleneck.  This harness pins that throughput
-down so it cannot silently regress: it times the core substrate ops
-(vectorised window-hash scan, rsync token matching, zdelta encoding, the
-end-to-end protocol) and the collection executor's two dispatch
-substrates (zero-copy shared-memory arena vs. classic pickle) on fixed
-seeded workloads, then writes or compares a JSON baseline.
+down so it cannot silently regress.  Each :class:`Suite` row in
+:data:`SUITES` is one committed baseline: its seeded workload
+parameters, the function that times its ops, the ratios derived from
+those ops with the floors the gates enforce, and the fields that must
+reproduce exactly.  Everything else — the ``environment`` block, the
+``derived`` block, the table title, the ``repro-sync bench perf`` loop
+and the gates in ``benchmarks/test_perf_baseline.py`` — is written once
+and reads the table.
 
-The executor measurement uses a fingerprint *probe* method — it MD5s
-both payloads and nothing else — so the number isolates the dispatch
-substrate itself (serialization, page traffic, scheduling) rather than
-protocol compute.  Timings are best-of-``rounds`` wall clock, which is
-the steady-state figure the arena pool is designed for.
+The suites:
 
+* ``parallel`` — core substrate ops (vectorised window-hash scan, rsync
+  token matching, zdelta encoding) and the collection executor's two
+  dispatch substrates (zero-copy shared-memory arena vs. classic pickle).
+  The executor ops use a fingerprint *probe* method — it MD5s both
+  payloads and nothing else — so they isolate the dispatch substrate
+  (serialization, page traffic, scheduling), not protocol compute;
+* ``delta`` — the delta-matching engines (vectorized vs. scalar oracle);
+* ``protocol`` — the whole-round protocol engines, cold-cache;
+* ``pipeline`` — modelled link wall clock of sequential vs. pipelined
+  collection sync over a slow link (machine-independent);
+* ``reuse`` — the cross-file reuse layer on an 8-client fleet.
+
+Timings are best-of-``rounds`` wall clock, the steady-state figure.
 Baselines are machine-specific: compare runs against a baseline recorded
 on comparable hardware and use a generous tolerance in CI (the committed
-file records the reference machine's numbers).
+files record the reference machine's numbers).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.syncmethod import MethodOutcome, SyncMethod
 
-#: Format marker for BENCH_parallel.json / BENCH_delta.json.
+#: Format marker for the ``BENCH_<suite>.json`` files.
 SCHEMA_VERSION = 1
-
-#: Repo-root baseline file name (the committed trajectory point).
-DEFAULT_BASELINE_NAME = "BENCH_parallel.json"
-
-#: Committed baseline for the delta-encode throughput gate.
-DEFAULT_DELTA_BASELINE_NAME = "BENCH_delta.json"
-
-#: Committed baseline for the protocol-engine throughput gate.
-DEFAULT_PROTOCOL_BASELINE_NAME = "BENCH_protocol.json"
-
-#: Committed baseline for the pipelined-scheduler latency gate.
-DEFAULT_PIPELINE_BASELINE_NAME = "BENCH_pipeline.json"
-
-#: Committed baseline for the cross-file reuse gate (DESIGN §17).
-DEFAULT_REUSE_BASELINE_NAME = "BENCH_reuse.json"
-
-#: Seeded workload defaults: 64 changed files, ~48 MB of payload.
-DEFAULT_FILES = 64
-DEFAULT_FILE_KB = 384
-DEFAULT_WORKERS = 4
-DEFAULT_ROUNDS = 3
-DEFAULT_SEED = 20240806
-
-#: Delta-throughput workload defaults: 64 reference/target pairs whose
-#: targets interleave copied and novel regions (the profile where the
-#: per-byte scalar loop is the bottleneck — see ISSUE 5 / DESIGN §12).
-DEFAULT_DELTA_FILE_KB = 96
-#: Files the scalar oracle is timed on.  MB/s normalises by payload, so
-#: a subset keeps the (much slower) scalar measurement CI-affordable
-#: while the vectorized engine is timed on the full workload.
-DEFAULT_SCALAR_FILES = 4
-
-#: End-to-end protocol runs are expensive (a full multi-round sync per
-#: file), so the protocol gate times a single cold-cache pass per engine.
-DEFAULT_PROTOCOL_ROUNDS = 1
-
-#: Pipeline-latency workload: 64 small changed files over a 300 ms-RTT
-#: link.  The gate compares *modelled* link wall clock (bytes plus
-#: latency times direction reversals) so the number is machine-independent
-#: — small files keep the protocol compute CI-affordable.
-DEFAULT_PIPELINE_FILE_KB = 24
-DEFAULT_PIPELINE_WINDOW = 8
-DEFAULT_PIPELINE_LATENCY_S = 0.150
-
-#: Cross-file reuse workload: an 8-client fleet at mixed staleness
-#: pulling one ~24 KB-mean-file collection.  The gate compares the cold
-#: (fresh memo) and warm (fleet-primed memo) wall clock of serving the
-#: last client, plus total fleet wire bytes with and without sibling
-#: references.
-DEFAULT_REUSE_CLIENTS = 8
-DEFAULT_REUSE_FILES = 12
-DEFAULT_REUSE_VERSIONS = 4
-DEFAULT_REUSE_FILE_KB = 24
 
 #: Comparison tolerance: an op regresses when it is slower than
 #: ``committed * (1 + tolerance)``.  0.5 locally; CI uses 2.0 (3x).
@@ -151,112 +112,19 @@ class OpTiming:
 
 @dataclass
 class PerfBaseline:
-    """One full measurement of the substrate (the BENCH_parallel row)."""
+    """One full measurement of a suite (one ``BENCH_<suite>.json``)."""
 
     workload: dict[str, int]
     ops: dict[str, OpTiming]
     environment: dict[str, object] = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
-    @property
-    def arena_speedup(self) -> float:
-        """Collection-sync dispatch speedup: pickle time / arena time."""
-        pickle_op = self.ops.get("executor_pickle")
-        arena_op = self.ops.get("executor_arena")
-        if pickle_op is None or arena_op is None or arena_op.seconds <= 0:
-            return 0.0
-        return pickle_op.seconds / arena_op.seconds
-
-    @property
-    def delta_speedup(self) -> float:
-        """Delta-match speedup: vectorized MB/s over scalar MB/s.
-
-        Throughput-based (not raw seconds) because the scalar oracle is
-        timed on a payload subset of the same workload.
-        """
-        scalar_op = self.ops.get("delta_match_scalar")
-        vector_op = self.ops.get("delta_match_vectorized")
-        if scalar_op is None or vector_op is None or scalar_op.mb_per_s <= 0:
-            return 0.0
-        return vector_op.mb_per_s / scalar_op.mb_per_s
-
-    @property
-    def pipeline_speedup(self) -> float:
-        """Latency-hiding factor: sequential link wall clock / pipelined.
-
-        Both ops record *modelled* link wall clock on the same workload
-        and link, so the ratio is deterministic and machine-independent.
-        """
-        sequential_op = self.ops.get("collection_sequential")
-        pipelined_op = self.ops.get("collection_pipelined")
-        if (
-            sequential_op is None
-            or pipelined_op is None
-            or pipelined_op.seconds <= 0
-        ):
-            return 0.0
-        return sequential_op.seconds / pipelined_op.seconds
-
-    @property
-    def protocol_speedup(self) -> float:
-        """Whole-round engine speedup: vectorized MB/s over scalar MB/s.
-
-        Throughput-based (not raw seconds) because the scalar oracle is
-        timed on a payload subset of the same workload.
-        """
-        scalar_op = self.ops.get("protocol_sync_scalar")
-        vector_op = self.ops.get("protocol_sync_vectorized")
-        if scalar_op is None or vector_op is None or scalar_op.mb_per_s <= 0:
-            return 0.0
-        return vector_op.mb_per_s / scalar_op.mb_per_s
-
-    @property
-    def reuse_speedup(self) -> float:
-        """Nth-client memo speedup: cold serve wall clock / warm.
-
-        Both ops serve the *same* client's update from the same fleet
-        workload; the only difference is whether the delta memo cache
-        was primed by the rest of the fleet first.
-        """
-        cold_op = self.ops.get("broadcast_cold_client")
-        warm_op = self.ops.get("broadcast_warm_client")
-        if cold_op is None or warm_op is None or warm_op.seconds <= 0:
-            return 0.0
-        return cold_op.seconds / warm_op.seconds
-
-    @property
-    def sibling_wire_savings(self) -> float:
-        """Fleet wire-byte fraction saved by sibling references.
-
-        Deterministic: both ops record total fleet wire bytes (as their
-        payload) on the same workload, with the sibling path on and off.
-        """
-        full_op = self.ops.get("broadcast_wire_full")
-        sibling_op = self.ops.get("broadcast_wire_sibling")
-        if full_op is None or sibling_op is None or full_op.payload_bytes <= 0:
-            return 0.0
-        return 1.0 - sibling_op.payload_bytes / full_op.payload_bytes
-
     def to_json(self) -> str:
-        derived: dict[str, float] = {}
-        if self.arena_speedup:
-            derived["executor_arena_speedup"] = round(self.arena_speedup, 3)
-        if self.delta_speedup:
-            derived["delta_vectorized_speedup"] = round(self.delta_speedup, 3)
-        if self.protocol_speedup:
-            derived["protocol_vectorized_speedup"] = round(
-                self.protocol_speedup, 3
-            )
-        if self.pipeline_speedup:
-            derived["pipeline_latency_speedup"] = round(
-                self.pipeline_speedup, 3
-            )
-        if self.reuse_speedup:
-            derived["reuse_memo_speedup"] = round(self.reuse_speedup, 3)
-        if self.sibling_wire_savings:
-            derived["sibling_wire_savings"] = round(
-                self.sibling_wire_savings, 4
-            )
+        derived = {}
+        for ratio in RATIOS:
+            value = ratio.of(self)
+            if value:
+                derived[ratio.key] = round(value, ratio.digits)
         payload = {
             "schema": self.schema,
             "workload": dict(self.workload),
@@ -290,22 +158,40 @@ def load_baseline(path: str | Path) -> PerfBaseline:
     return PerfBaseline.from_json(Path(path).read_text())
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless ``tolerance`` is a usable regression budget.
+
+    NaN and infinity are refused: every ``seconds > budget`` comparison
+    against them is false, which would switch the gate off.
+    """
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(
+            f"tolerance must be a finite number >= 0, got {tolerance}"
+        )
+
+
 def compare_baselines(
     current: PerfBaseline,
     committed: PerfBaseline,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[str]:
-    """Regression report: ops slower than ``committed * (1 + tolerance)``.
+    """Regression report: committed ops that are missing or too slow now.
 
-    Returns human-readable findings (empty = no regression).  Ops present
-    only on one side are skipped — the baseline schema may grow.
+    An op regresses when it is slower than ``committed * (1 + tolerance)``.
+    A committed op absent from ``current`` is a finding too, unless it is
+    an arena op and this machine has no arena (see :func:`op_runs_here`).
+    Ops only ``current`` has are skipped — the baseline schema may grow.
+    Returns human-readable findings (empty = no regression).
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    check_tolerance(tolerance)
     findings: list[str] = []
     for name, committed_op in sorted(committed.ops.items()):
         current_op = current.ops.get(name)
-        if current_op is None or committed_op.seconds <= 0:
+        if current_op is None:
+            if op_runs_here(name):
+                findings.append(f"{name}: missing from the current measurement")
+            continue
+        if committed_op.seconds <= 0:
             continue
         budget = committed_op.seconds * (1.0 + tolerance)
         if current_op.seconds > budget:
@@ -321,10 +207,10 @@ def compare_baselines(
 # Workload construction (seeded, deterministic)
 # ----------------------------------------------------------------------
 def build_workload(
-    files: int = DEFAULT_FILES,
-    file_kb: int = DEFAULT_FILE_KB,
+    files: int = 64,
+    file_kb: int = 384,
     edits: int = 12,
-    seed: int = DEFAULT_SEED,
+    seed: int = 20240806,
 ) -> tuple[dict[str, bytes], dict[str, bytes]]:
     """``files`` distinct pseudo-random file pairs, every file changed."""
     rng = random.Random(seed)
@@ -344,9 +230,7 @@ def build_workload(
 
 
 def build_delta_workload(
-    files: int = DEFAULT_FILES,
-    file_kb: int = DEFAULT_DELTA_FILE_KB,
-    seed: int = DEFAULT_SEED,
+    files: int, file_kb: int, seed: int
 ) -> list[tuple[bytes, bytes]]:
     """``files`` reference/target pairs with interleaved shared and novel runs.
 
@@ -372,7 +256,8 @@ def build_delta_workload(
     return pairs
 
 
-def _best_of(rounds: int, run) -> float:
+def best_of(rounds: int, run: Callable[[], object]) -> float:
+    """Fastest wall clock of ``rounds`` calls of ``run`` (at least one)."""
     best = float("inf")
     for _ in range(max(1, rounds)):
         started = time.perf_counter()
@@ -382,20 +267,15 @@ def _best_of(rounds: int, run) -> float:
 
 
 # ----------------------------------------------------------------------
-# Measurement
+# Per-suite measurement: each returns the suite's ops
 # ----------------------------------------------------------------------
-def measure(
-    files: int = DEFAULT_FILES,
-    file_kb: int = DEFAULT_FILE_KB,
-    workers: int = DEFAULT_WORKERS,
-    rounds: int = DEFAULT_ROUNDS,
-    seed: int = DEFAULT_SEED,
-) -> PerfBaseline:
-    """Time every substrate op on the seeded workload; return the record.
+def _measure_parallel(
+    files: int, file_kb: int, workers: int, rounds: int, seed: int
+) -> dict[str, OpTiming]:
+    """Core substrate micro-ops on one pair, then executor dispatch.
 
-    End-to-end protocol throughput is *not* measured here: the dedicated
-    per-engine gate (:func:`measure_protocol` / BENCH_protocol.json)
-    superseded the old single-engine ``protocol_sync`` op.
+    ``executor_arena`` is recorded only where the arena engages (POSIX
+    shared memory available).
     """
     from repro.delta import zdelta_encode
     from repro.hashing import DecomposableAdler, window_hashes
@@ -420,7 +300,7 @@ def measure(
     scan_rounds = max(rounds, 3)
     record(
         "window_hash_scan",
-        _best_of(scan_rounds, lambda: window_hashes(sample_old, 64, hasher)),
+        best_of(scan_rounds, lambda: window_hashes(sample_old, 64, hasher)),
         len(sample_old),
         scan_rounds,
     )
@@ -428,7 +308,7 @@ def measure(
     signatures = compute_signatures(sample_old, 700)
     record(
         "match_tokens",
-        _best_of(rounds, lambda: match_tokens(sample_new, signatures, 2)),
+        best_of(rounds, lambda: match_tokens(sample_new, signatures, 2)),
         len(sample_new),
         rounds,
     )
@@ -437,7 +317,7 @@ def measure(
     delta_new = sample_new[: 128 * 1024]
     record(
         "zdelta_encode",
-        _best_of(rounds, lambda: zdelta_encode(delta_old, delta_new)),
+        best_of(rounds, lambda: zdelta_encode(delta_old, delta_new)),
         len(delta_new),
         rounds,
     )
@@ -448,7 +328,7 @@ def measure(
     pickle_executor = SyncExecutor(workers=workers, use_arena=False)
     record(
         "executor_pickle",
-        _best_of(rounds, lambda: pickle_executor.run(probe, tasks)),
+        best_of(rounds, lambda: pickle_executor.run(probe, tasks)),
         payload,
         rounds,
     )
@@ -459,37 +339,17 @@ def measure(
         if sample_batch.arena_used:
             record(
                 "executor_arena",
-                _best_of(rounds, lambda: arena_executor.run(probe, tasks)),
+                best_of(rounds, lambda: arena_executor.run(probe, tasks)),
                 payload,
                 rounds,
             )
-
-    environment = {
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "arena_available": arena_available(),
-    }
-    workload = {
-        "files": files,
-        "file_kb": file_kb,
-        "workers": workers,
-        "rounds": rounds,
-        "seed": seed,
-    }
-    return PerfBaseline(workload=workload, ops=ops, environment=environment)
+    return ops
 
 
-def measure_delta(
-    files: int = DEFAULT_FILES,
-    file_kb: int = DEFAULT_DELTA_FILE_KB,
-    rounds: int = DEFAULT_ROUNDS,
-    seed: int = DEFAULT_SEED,
-    scalar_files: int = DEFAULT_SCALAR_FILES,
-) -> PerfBaseline:
+def _measure_delta(
+    files: int, file_kb: int, rounds: int, seed: int, scalar_files: int
+) -> dict[str, OpTiming]:
     """Time the delta-matching engines on the seeded mixed workload.
-
-    Three ops make up the BENCH_delta record:
 
     * ``delta_index_build`` — ``ReferenceMatcher`` construction (the
       cost the :class:`~repro.parallel.cache.ReferenceIndexCache`
@@ -510,7 +370,7 @@ def measure_delta(
     build_rounds = max(1, rounds - 1)
     ops["delta_index_build"] = OpTiming(
         "delta_index_build",
-        _best_of(
+        best_of(
             build_rounds,
             lambda: ReferenceMatcher(pairs[0][0]),
         ),
@@ -526,7 +386,7 @@ def measure_delta(
 
     ops["delta_match_vectorized"] = OpTiming(
         "delta_match_vectorized",
-        _best_of(rounds, lambda: run_engine("vectorized", files)),
+        best_of(rounds, lambda: run_engine("vectorized", files)),
         sum(len(target) for _reference, target in pairs),
         rounds,
     )
@@ -535,36 +395,17 @@ def measure_delta(
     scalar_rounds = max(1, rounds - 1)
     ops["delta_match_scalar"] = OpTiming(
         "delta_match_scalar",
-        _best_of(scalar_rounds, lambda: run_engine("scalar", scalar_files)),
+        best_of(scalar_rounds, lambda: run_engine("scalar", scalar_files)),
         sum(len(target) for _reference, target in pairs[:scalar_files]),
         scalar_rounds,
     )
-
-    environment = {
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-    workload = {
-        "files": files,
-        "file_kb": file_kb,
-        "rounds": rounds,
-        "seed": seed,
-        "scalar_files": scalar_files,
-    }
-    return PerfBaseline(workload=workload, ops=ops, environment=environment)
+    return ops
 
 
-def measure_protocol(
-    files: int = DEFAULT_FILES,
-    file_kb: int = DEFAULT_DELTA_FILE_KB,
-    rounds: int = DEFAULT_PROTOCOL_ROUNDS,
-    seed: int = DEFAULT_SEED,
-    scalar_files: int = DEFAULT_SCALAR_FILES,
-) -> PerfBaseline:
+def _measure_protocol(
+    files: int, file_kb: int, rounds: int, seed: int, scalar_files: int
+) -> dict[str, OpTiming]:
     """Time the whole-round protocol engines on the seeded mixed workload.
-
-    Two ops make up the BENCH_protocol record:
 
     * ``protocol_sync_vectorized`` — end-to-end :func:`repro.core.synchronize`
       with the batched engine over every pair;
@@ -591,7 +432,7 @@ def measure_protocol(
     rounds = max(1, rounds)
     ops["protocol_sync_vectorized"] = OpTiming(
         "protocol_sync_vectorized",
-        _best_of(rounds, lambda: run_engine("vectorized", files)),
+        best_of(rounds, lambda: run_engine("vectorized", files)),
         sum(len(target) for _reference, target in pairs),
         rounds,
     )
@@ -599,45 +440,27 @@ def measure_protocol(
     scalar_files = max(1, min(scalar_files, files))
     ops["protocol_sync_scalar"] = OpTiming(
         "protocol_sync_scalar",
-        _best_of(rounds, lambda: run_engine("scalar", scalar_files)),
+        best_of(rounds, lambda: run_engine("scalar", scalar_files)),
         sum(len(target) for _reference, target in pairs[:scalar_files]),
         rounds,
     )
     reset_default_cache()
-
-    environment = {
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-    workload = {
-        "files": files,
-        "file_kb": file_kb,
-        "rounds": rounds,
-        "seed": seed,
-        "scalar_files": scalar_files,
-    }
-    return PerfBaseline(workload=workload, ops=ops, environment=environment)
+    return ops
 
 
-def measure_pipeline(
-    files: int = DEFAULT_FILES,
-    file_kb: int = DEFAULT_PIPELINE_FILE_KB,
-    window: int = DEFAULT_PIPELINE_WINDOW,
-    seed: int = DEFAULT_SEED,
-    latency_s: float = DEFAULT_PIPELINE_LATENCY_S,
-) -> PerfBaseline:
-    """Measure the pipelined scheduler's latency hiding (BENCH_pipeline).
+def _measure_pipeline(
+    files: int, file_kb: int, window: int, seed: int, latency_ms: int
+) -> dict[str, OpTiming]:
+    """Measure the pipelined scheduler's latency hiding.
 
-    Runs the same seeded 64-file workload through
+    Runs the same seeded workload through
     :func:`~repro.collection.sync.sync_collection` twice with the
     paper's protocol — sequentially and pipelined with ``window`` files
-    in flight — over a ``latency_s`` one-way-delay link (0.150 s = a
+    in flight — over a ``latency_ms`` one-way-delay link (150 ms = a
     300 ms-RTT slow network).  Each op records the *modelled* link wall
     clock as its timing and the wire direction reversals as its round
-    count, so the record (and the derived ``pipeline_latency_speedup``)
-    is fully deterministic: byte counts and reversal counts do not
-    depend on the machine.
+    count, so the record is fully deterministic: byte counts and
+    reversal counts do not depend on the machine.
     """
     from repro.bench.methods import OursMethod
     from repro.collection.sync import sync_collection
@@ -645,7 +468,7 @@ def measure_pipeline(
 
     old_side, new_side = build_workload(files=files, file_kb=file_kb, seed=seed)
     payload = sum(len(data) for data in new_side.values())
-    link = LinkModel(latency_s=latency_s)
+    link = LinkModel(latency_s=latency_ms / 1000)
     ops: dict[str, OpTiming] = {}
 
     sequential = sync_collection(
@@ -672,33 +495,14 @@ def measure_pipeline(
         payload,
         pipelined.roundtrips_on_wire,
     )
-
-    environment = {
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-    workload = {
-        "files": files,
-        "file_kb": file_kb,
-        "window": window,
-        "seed": seed,
-        "latency_ms": int(latency_s * 1000),
-    }
-    return PerfBaseline(workload=workload, ops=ops, environment=environment)
+    return ops
 
 
-def measure_reuse(
-    clients: int = DEFAULT_REUSE_CLIENTS,
-    files: int = DEFAULT_REUSE_FILES,
-    versions: int = DEFAULT_REUSE_VERSIONS,
-    file_kb: int = DEFAULT_REUSE_FILE_KB,
-    rounds: int = DEFAULT_ROUNDS,
-    seed: int = DEFAULT_SEED,
-) -> PerfBaseline:
+def _measure_reuse(
+    clients: int, files: int, versions: int, file_kb: int, rounds: int,
+    seed: int,
+) -> dict[str, OpTiming]:
     """Measure the cross-file reuse layer on the fleet workload.
-
-    Four ops make up the BENCH_reuse record:
 
     * ``broadcast_cold_client`` — serving the last fleet client from a
       freshly-built :class:`~repro.reuse.broadcast.BroadcastDeltaServer`
@@ -708,10 +512,7 @@ def measure_reuse(
       Nth-client cost the layer is designed for);
     * ``broadcast_wire_sibling`` / ``broadcast_wire_full`` — total fleet
       wire bytes (recorded as the payload) with the sibling-reference
-      path on and off; their ratio is the deterministic
-      ``sibling_wire_savings``.
-
-    The derived ``reuse_memo_speedup`` is cold over warm wall clock.
+      path on and off.
     """
     from repro.reuse import BroadcastDeltaServer, DedupStore, DeltaMemoCache
     from repro.workloads.fleet import make_fleet
@@ -754,7 +555,7 @@ def measure_reuse(
         warm_server.serve(client.files)
     ops["broadcast_warm_client"] = OpTiming(
         "broadcast_warm_client",
-        _best_of(rounds, lambda: warm_server.serve(last_client)),
+        best_of(rounds, lambda: warm_server.serve(last_client)),
         payload,
         rounds,
     )
@@ -771,21 +572,211 @@ def measure_reuse(
         ops[op_name] = OpTiming(
             op_name, time.perf_counter() - started, wire, 1
         )
+    return ops
 
-    environment = {
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Ratio:
+    """A figure of merit derived from two ops of one suite.
+
+    A ``speedup`` is ``op`` MB/s over ``versus`` MB/s — throughput-based,
+    so a scalar oracle may be timed on a payload subset.  A ``savings`` is
+    the fraction of ``versus`` payload bytes that ``op`` does without.
+    The committed baseline must show ``> 0`` and ``>= committed_floor``;
+    a fresh measurement must show ``>= floor_default``, overridable via
+    the ``floor_env`` environment variable (no current-machine floor
+    when ``floor_env`` is None).
+    """
+
+    key: str
+    label: str
+    op: str
+    versus: str
+    kind: str = "speedup"
+    committed_floor: float = 0.0
+    floor_env: str | None = None
+    floor_default: float = 0.0
+
+    @property
+    def digits(self) -> int:
+        """Decimal places kept in the ``derived`` block."""
+        return 4 if self.kind == "savings" else 3
+
+    def of(self, baseline: PerfBaseline) -> float:
+        """This ratio on ``baseline`` (0.0 when either op is absent)."""
+        op, versus = baseline.ops.get(self.op), baseline.ops.get(self.versus)
+        if op is None or versus is None:
+            return 0.0
+        if self.kind == "savings":
+            if versus.payload_bytes <= 0:
+                return 0.0
+            return 1.0 - op.payload_bytes / versus.payload_bytes
+        if versus.mb_per_s <= 0:
+            return 0.0
+        return op.mb_per_s / versus.mb_per_s
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One committed perf baseline, ``BENCH_<name>.json``.
+
+    ``params`` is the seeded workload, exactly as written to the file's
+    ``workload`` block and passed to ``measure`` by keyword.
+    ``arena_ops`` run only where the shared-memory arena is available
+    (recorded as ``arena_available`` in ``environment``).
+    ``same_payload`` ops must carry equal payloads in the committed file.
+    ``exact`` maps an op to the fields a fresh run must reproduce (to the
+    millisecond for modelled seconds, exactly for integers).
+    """
+
+    name: str
+    params: dict[str, int]
+    measure: Callable[..., dict[str, OpTiming]]
+    ops: tuple[str, ...]
+    ratios: tuple[Ratio, ...]
+    arena_ops: tuple[str, ...] = ()
+    same_payload: tuple[str, ...] = ()
+    exact: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def file_name(self) -> str:
+        return f"BENCH_{self.name}.json"
+
+
+SUITES: dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite(
+            name="parallel",
+            params={"files": 64, "file_kb": 384, "workers": 4, "rounds": 3,
+                    "seed": 20240806},
+            measure=_measure_parallel,
+            ops=("executor_arena", "executor_pickle", "match_tokens",
+                 "window_hash_scan", "zdelta_encode"),
+            ratios=(
+                Ratio("executor_arena_speedup",
+                      "arena speedup {:.2f}x over pickle dispatch",
+                      "executor_arena", "executor_pickle",
+                      committed_floor=1.3,
+                      floor_env="REPRO_PERF_MIN_SPEEDUP", floor_default=1.05),
+            ),
+            arena_ops=("executor_arena",),
+            same_payload=("executor_arena", "executor_pickle"),
+        ),
+        Suite(
+            name="delta",
+            params={"files": 64, "file_kb": 96, "rounds": 3,
+                    "seed": 20240806, "scalar_files": 4},
+            measure=_measure_delta,
+            ops=("delta_index_build", "delta_match_scalar",
+                 "delta_match_vectorized"),
+            ratios=(
+                Ratio("delta_vectorized_speedup",
+                      "vectorized delta match {:.2f}x over scalar",
+                      "delta_match_vectorized", "delta_match_scalar",
+                      committed_floor=3.0,
+                      floor_env="REPRO_PERF_MIN_DELTA_SPEEDUP",
+                      floor_default=1.5),
+            ),
+        ),
+        Suite(
+            name="protocol",
+            params={"files": 64, "file_kb": 96, "rounds": 1,
+                    "seed": 20240806, "scalar_files": 4},
+            measure=_measure_protocol,
+            ops=("protocol_sync_scalar", "protocol_sync_vectorized"),
+            ratios=(
+                Ratio("protocol_vectorized_speedup",
+                      "vectorized protocol {:.2f}x over scalar",
+                      "protocol_sync_vectorized", "protocol_sync_scalar",
+                      committed_floor=3.0,
+                      floor_env="REPRO_PERF_MIN_PROTOCOL_SPEEDUP",
+                      floor_default=1.5),
+            ),
+        ),
+        Suite(
+            name="pipeline",
+            params={"files": 64, "file_kb": 24, "window": 8,
+                    "seed": 20240806, "latency_ms": 150},
+            measure=_measure_pipeline,
+            ops=("collection_pipelined", "collection_sequential"),
+            ratios=(
+                Ratio("pipeline_latency_speedup",
+                      "pipelined wall clock {:.2f}x over sequential",
+                      "collection_pipelined", "collection_sequential",
+                      committed_floor=4.0,
+                      floor_env="REPRO_PERF_MIN_PIPELINE_SPEEDUP",
+                      floor_default=4.0),
+            ),
+            exact={"collection_pipelined": ("seconds", "rounds"),
+                   "collection_sequential": ("seconds", "rounds")},
+        ),
+        Suite(
+            name="reuse",
+            params={"clients": 8, "files": 12, "versions": 4, "file_kb": 24,
+                    "rounds": 3, "seed": 20240806},
+            measure=_measure_reuse,
+            ops=("broadcast_cold_client", "broadcast_warm_client",
+                 "broadcast_wire_full", "broadcast_wire_sibling"),
+            ratios=(
+                Ratio("reuse_memo_speedup",
+                      "warm memo serve {:.2f}x over cold",
+                      "broadcast_warm_client", "broadcast_cold_client",
+                      committed_floor=5.0,
+                      floor_env="REPRO_PERF_MIN_REUSE_SPEEDUP",
+                      floor_default=5.0),
+                Ratio("sibling_wire_savings",
+                      "sibling refs save {:.1%} of fleet wire bytes",
+                      "broadcast_wire_sibling", "broadcast_wire_full",
+                      kind="savings"),
+            ),
+            exact={"broadcast_wire_full": ("payload_bytes",),
+                   "broadcast_wire_sibling": ("payload_bytes",)},
+        ),
+    )
+}
+
+#: Every suite's ratios, in registry order (``derived`` keys, title parts).
+RATIOS: tuple[Ratio, ...] = tuple(
+    ratio for suite in SUITES.values() for ratio in suite.ratios
+)
+
+
+def _arena_available() -> bool:
+    from repro.parallel import arena_available
+
+    return arena_available()
+
+
+def op_runs_here(name: str) -> bool:
+    """False only for an arena op on a machine without the arena."""
+    if any(name in suite.arena_ops for suite in SUITES.values()):
+        return _arena_available()
+    return True
+
+
+def measure_suite(suite: Suite, workers: int | None = None) -> PerfBaseline:
+    """Time every op of ``suite`` on its seeded workload; return the record.
+
+    ``workers`` overrides the executor worker count of suites whose
+    workload has one (``parallel``); the others ignore it.
+    """
+    params = dict(suite.params)
+    if workers is not None and "workers" in params:
+        params["workers"] = workers
+    environment: dict[str, object] = {
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    workload = {
-        "clients": clients,
-        "files": files,
-        "versions": versions,
-        "file_kb": file_kb,
-        "rounds": rounds,
-        "seed": seed,
-    }
-    return PerfBaseline(workload=workload, ops=ops, environment=environment)
+    if suite.arena_ops:
+        environment["arena_available"] = _arena_available()
+    return PerfBaseline(
+        workload=params, ops=suite.measure(**params), environment=environment
+    )
 
 
 def render_baseline(baseline: PerfBaseline) -> str:
@@ -809,24 +800,10 @@ def render_baseline(baseline: PerfBaseline) -> str:
     )
     if "workers" in baseline.workload:
         title += f", workers={baseline.workload['workers']}"
-    arena = baseline.arena_speedup
-    if arena:
-        title += f"; arena speedup {arena:.2f}x over pickle dispatch"
-    delta = baseline.delta_speedup
-    if delta:
-        title += f"; vectorized delta match {delta:.2f}x over scalar"
-    protocol = baseline.protocol_speedup
-    if protocol:
-        title += f"; vectorized protocol {protocol:.2f}x over scalar"
-    pipeline = baseline.pipeline_speedup
-    if pipeline:
-        title += f"; pipelined wall clock {pipeline:.2f}x over sequential"
-    reuse = baseline.reuse_speedup
-    if reuse:
-        title += f"; warm memo serve {reuse:.2f}x over cold"
-    savings = baseline.sibling_wire_savings
-    if savings:
-        title += f"; sibling refs save {savings:.1%} of fleet wire bytes"
+    for ratio in RATIOS:
+        value = ratio.of(baseline)
+        if value:
+            title += "; " + ratio.label.format(value)
     return render_table(
         ["op", "ms (best)", "MB/s", "payload KB", "rounds"], rows, title=title
     )

@@ -29,6 +29,16 @@ from repro.bench.methods import (
     ZdeltaMethod,
     standard_methods,
 )
+from repro.bench.perfbaseline import (
+    DEFAULT_TOLERANCE,
+    SUITES,
+    check_tolerance,
+    compare_baselines,
+    load_baseline,
+    measure_suite,
+    render_baseline,
+    save_baseline,
+)
 from repro.collection.options import SyncOptions
 from repro.core import ProtocolConfig
 from repro.counters import COUNTERS, RUN
@@ -506,48 +516,41 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    """Measure the substrate perf baselines; record or compare them.
+    """Measure the perf-baseline suites; record or compare them.
 
-    Five baselines make up the perf gate: the parallel-substrate record
-    (``BENCH_parallel.json``), the delta-encode throughput record
-    (``BENCH_delta.json``), the whole-round protocol-engine record
-    (``BENCH_protocol.json``), the pipelined-scheduler latency record
-    (``BENCH_pipeline.json``), and the cross-file reuse record
-    (``BENCH_reuse.json``).  All are measured, printed, and compared
-    (or rewritten with ``--update``) in one invocation so CI stays a
-    single command.
+    Every suite of :data:`~repro.bench.perfbaseline.SUITES` (or each one
+    named with ``--suite``) is measured, printed, and compared against
+    ``BENCH_<suite>.json`` in ``--baseline-dir`` (or rewritten with
+    ``--update``) in one invocation so CI stays a single command.  Bad
+    input is refused before anything is measured.
     """
-    from repro.bench.perfbaseline import (
-        compare_baselines,
-        load_baseline,
-        measure,
-        measure_delta,
-        measure_pipeline,
-        measure_protocol,
-        measure_reuse,
-        render_baseline,
-        save_baseline,
-    )
-
     import os
 
-    current = measure(workers=args.workers or os.cpu_count() or 1)
-    measurements = [(Path(args.baseline), current)]
-    if not args.no_delta:
-        measurements.append((Path(args.delta_baseline), measure_delta()))
-    if not args.no_protocol:
-        measurements.append(
-            (Path(args.protocol_baseline), measure_protocol())
-        )
-    if not args.no_pipeline:
-        measurements.append(
-            (Path(args.pipeline_baseline), measure_pipeline())
-        )
-    if not args.no_reuse:
-        measurements.append(
-            (Path(args.reuse_baseline), measure_reuse())
-        )
+    suites = [SUITES[name] for name in dict.fromkeys(args.suite or SUITES)]
+    baseline_dir = Path(args.baseline_dir)
+    try:
+        check_tolerance(args.tolerance)
+    except ValueError as refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
+    if not baseline_dir.is_dir():
+        print(f"error: no baseline directory {baseline_dir}", file=sys.stderr)
+        return 2
+    if not args.update:
+        for suite in suites:
+            path = baseline_dir / suite.file_name
+            if not path.exists():
+                print(
+                    f"error: no baseline at {path} (record one with --update)",
+                    file=sys.stderr,
+                )
+                return 2
 
+    workers = args.workers or os.cpu_count() or 1
+    measurements = [
+        (baseline_dir / suite.file_name, measure_suite(suite, workers=workers))
+        for suite in suites
+    ]
     for _path, measurement in measurements:
         if args.json:
             print(measurement.to_json(), end="")
@@ -560,20 +563,13 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
             print(f"wrote baseline to {path}")
         return 0
 
-    findings: list[str] = []
-    for path, measurement in measurements:
-        if not path.exists():
-            print(
-                f"error: no baseline at {path} (record one with --update)",
-                file=sys.stderr,
-            )
-            return 2
-        findings += [
-            f"[{path.name}] {finding}"
-            for finding in compare_baselines(
-                measurement, load_baseline(path), tolerance=args.tolerance
-            )
-        ]
+    findings = [
+        f"[{path.name}] {finding}"
+        for path, measurement in measurements
+        for finding in compare_baselines(
+            measurement, load_baseline(path), tolerance=args.tolerance
+        )
+    ]
     if findings:
         print("\nPERF REGRESSIONS:", file=sys.stderr)
         for finding in findings:
@@ -771,40 +767,22 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=_cmd_bench, bench_action=None)
     bench_sub = bench.add_subparsers(dest="bench_action")
     bench_perf = bench_sub.add_parser(
-        "perf", help="time core substrate ops and the arena vs pickle "
-                     "dispatch paths; compare against BENCH_parallel.json"
+        "perf", help="time the perf-baseline suites and compare them "
+                     "against the committed BENCH_<suite>.json files"
     )
-    bench_perf.add_argument("--baseline", default="BENCH_parallel.json",
-                            help="baseline JSON to compare against or "
-                                 "update")
-    bench_perf.add_argument("--delta-baseline", default="BENCH_delta.json",
-                            help="delta-throughput baseline JSON to "
-                                 "compare against or update")
-    bench_perf.add_argument("--no-delta", action="store_true",
-                            help="skip the delta-throughput measurement "
-                                 "(substrate ops only)")
-    bench_perf.add_argument("--protocol-baseline",
-                            default="BENCH_protocol.json",
-                            help="protocol-engine baseline JSON to "
-                                 "compare against or update")
-    bench_perf.add_argument("--no-protocol", action="store_true",
-                            help="skip the protocol-engine measurement")
-    bench_perf.add_argument("--pipeline-baseline",
-                            default="BENCH_pipeline.json",
-                            help="pipelined-scheduler latency baseline JSON "
-                                 "to compare against or update")
-    bench_perf.add_argument("--no-pipeline", action="store_true",
-                            help="skip the pipeline-latency measurement")
-    bench_perf.add_argument("--reuse-baseline",
-                            default="BENCH_reuse.json",
-                            help="cross-file reuse baseline JSON to "
-                                 "compare against or rewrite")
-    bench_perf.add_argument("--no-reuse", action="store_true",
-                            help="skip the cross-file reuse measurement")
+    bench_perf.add_argument("--baseline-dir", default=".",
+                            help="directory holding the BENCH_<suite>.json "
+                                 "baselines to compare against or update")
+    bench_perf.add_argument("--suite", action="append", choices=tuple(SUITES),
+                            metavar="NAME",
+                            help="measure only this suite (repeatable; "
+                                 "default: all of "
+                                 f"{', '.join(SUITES)})")
     bench_perf.add_argument("--update", action="store_true",
                             help="record the current measurement as the "
                                  "new baseline instead of comparing")
-    bench_perf.add_argument("--tolerance", type=float, default=0.5,
+    bench_perf.add_argument("--tolerance", type=float,
+                            default=DEFAULT_TOLERANCE,
                             help="allowed slowdown fraction before an op "
                                  "counts as a regression (0.5 = 50%%)")
     bench_perf.add_argument("--workers", type=_worker_count, default=4,

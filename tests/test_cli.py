@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench.perfbaseline import SUITES, load_baseline
 from repro.cli import main
 from tests.conftest import make_version_pair
 
@@ -306,3 +308,91 @@ class TestOptionRefusals:
         assert err.startswith("error: ")
         assert reason in err
         assert "Traceback" not in err
+
+
+class TestBenchPerf:
+    """`bench perf` loops over the suite registry; it refuses bad input
+    with `error: <reason>`, exit 2, before measuring anything."""
+
+    REPO = Path(__file__).parent.parent
+
+    @pytest.fixture
+    def no_measuring(self, monkeypatch):
+        def refuse(suite, workers=None):
+            raise AssertionError(f"measured {suite.name} before refusing")
+
+        monkeypatch.setattr("repro.cli.measure_suite", refuse)
+
+    @pytest.fixture
+    def committed_numbers(self, monkeypatch):
+        """Measure nothing: each suite "measures" its committed file."""
+        measured = []
+
+        def replay(suite, workers=None):
+            measured.append(suite.name)
+            return load_baseline(self.REPO / suite.file_name)
+
+        monkeypatch.setattr("repro.cli.measure_suite", replay)
+        return measured
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_unusable_tolerance_refused(self, no_measuring, capsys,
+                                        tolerance):
+        assert main(["bench", "perf", "--tolerance", tolerance]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance must be a finite number")
+
+    def test_missing_baseline_refused(self, no_measuring, tmp_path, capsys):
+        (tmp_path / "BENCH_parallel.json").write_text("{}")
+        assert main(["bench", "perf", "--baseline-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: no baseline at {tmp_path / 'BENCH_delta.json'}"
+        )
+
+    def test_missing_directory_refused(self, no_measuring, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["bench", "perf", "--update",
+                     "--baseline-dir", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error: no baseline dir")
+
+    def test_unknown_suite_rejected(self, no_measuring):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "perf", "--suite", "nope"])
+        assert exit_info.value.code == 2
+
+    def test_compares_every_suite_by_default(self, committed_numbers, capsys):
+        assert main(["bench", "perf", "--baseline-dir", str(self.REPO),
+                     "--tolerance", "0"]) == 0
+        assert committed_numbers == list(SUITES)
+        assert "no regressions vs" in capsys.readouterr().out
+
+    def test_suite_selection_and_json(self, committed_numbers, capsys):
+        assert main(["bench", "perf", "--baseline-dir", str(self.REPO),
+                     "--suite", "reuse", "--suite", "delta",
+                     "--suite", "reuse", "--json"]) == 0
+        assert committed_numbers == ["reuse", "delta"]
+        text = capsys.readouterr().out
+        first = json.loads(text[: text.index("}\n{") + 2])
+        assert set(first) == {"schema", "workload", "environment", "ops",
+                              "derived"}
+        assert set(first["derived"]) == {"reuse_memo_speedup",
+                                         "sibling_wire_savings"}
+
+    def test_update_writes_only_selected_suites(self, committed_numbers,
+                                                tmp_path):
+        assert main(["bench", "perf", "--baseline-dir", str(tmp_path),
+                     "--suite", "pipeline", "--update"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_pipeline.json"]
+
+    def test_regression_exits_1(self, monkeypatch, tmp_path, capsys):
+        suite = SUITES["pipeline"]
+        slower = load_baseline(self.REPO / suite.file_name)
+        for op in slower.ops.values():
+            op.seconds *= 10
+        monkeypatch.setattr("repro.cli.measure_suite",
+                            lambda suite, workers=None: slower)
+        assert main(["bench", "perf", "--baseline-dir", str(self.REPO),
+                     "--suite", "pipeline", "--tolerance", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "[BENCH_pipeline.json] collection_pipelined:" in err

@@ -7,7 +7,9 @@ its terminal table must not drift.  ``mb_per_s`` and the ``derived``
 ratios were computed from unrounded seconds when the file was recorded,
 so recomputing them from the stored (rounded) seconds is pinned to a
 relative 1e-3 rather than exactly: ``BENCH_reuse.json`` commits
-``reuse_memo_speedup`` 83.176, and its stored ops give 83.138.
+``reuse_memo_speedup`` 83.176, and its stored ops give 83.138.  The
+registry row of each suite must describe its file: the same workload
+parameters, op names and ratios.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.perfbaseline import load_baseline, render_baseline
+from repro.bench.perfbaseline import SUITES, load_baseline, render_baseline
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -93,3 +95,19 @@ def test_round_trip_reproduces_committed_file(name):
 def test_render_is_pinned(name):
     path, _committed_payload = _committed(name)
     assert render_baseline(load_baseline(path)) == RENDERED[name]
+
+
+def test_registry_lists_the_committed_suites():
+    assert tuple(SUITES) == SUITE_NAMES
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_registry_row_describes_committed_file(name):
+    suite = SUITES[name]
+    path, committed = _committed(name)
+    assert suite.file_name == path.name
+    assert suite.params == committed["workload"]
+    assert sorted(suite.ops) == sorted(committed["ops"])
+    assert {ratio.key for ratio in suite.ratios} == set(committed["derived"])
+    if suite.arena_ops:
+        assert "arena_available" in committed["environment"]
