@@ -255,6 +255,8 @@ def _sync_batched(
                     "added_bytes": report.added_bytes,
                     "files_changed": report.files_changed,
                     "files_unchanged": report.files_unchanged,
+                    "roundtrips_on_wire": report.roundtrips_on_wire,
+                    "link_wall_clock_s": round(report.link_wall_clock_s, 4),
                 },
                 indent=2,
             )
@@ -264,6 +266,8 @@ def _sync_batched(
         print(f"files           : {report.files_changed} changed, "
               f"{report.files_unchanged} unchanged")
         print(f"bytes on wire   : {report.total_bytes:,}")
+        print(f"link latency    : {report.roundtrips_on_wire} roundtrips on "
+              f"wire (~{report.link_wall_clock_s:.1f}s modelled wall clock)")
     return 0
 
 

@@ -167,9 +167,27 @@ def sync_collection_batched(
             client_to_server=batch.stats.client_to_server_bytes,
             server_to_client=batch.stats.server_to_client_bytes,
             breakdown=dict(batch.stats.breakdown()),
+            roundtrips=batch.roundtrips,
         )
+    # One shared channel: its direction reversals are the collection's.
+    _account_link(report, opts.link)
     _verify_and_store(report, server_files, opts)
     return report
+
+
+def _account_link(report: CollectionReport, link) -> None:
+    """Fill ``roundtrips_on_wire`` and ``link_wall_clock_s`` from the
+    per-file outcomes, modelled on ``link`` (default :class:`LinkModel`)."""
+    from repro.net.channel import LinkModel
+
+    outcomes = list(report.per_file.values())
+    report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
+    if outcomes:
+        report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
+            [o.client_to_server for o in outcomes],
+            [o.server_to_client for o in outcomes],
+            [o.roundtrips for o in outcomes],
+        )
 
 
 def _detect_changes(client_files, server_files, method_name, opts):
@@ -500,13 +518,4 @@ def _sync_sequential(report, method, changed, opts, graceful, budget) -> None:
     # session pays its own direction reversals on the link, so the
     # collection's cost is the per-file sum — the figure the pipelined
     # scheduler collapses.
-    from repro.net.channel import LinkModel
-
-    outcomes = list(report.per_file.values())
-    report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
-    if outcomes:
-        report.link_wall_clock_s = (opts.link or LinkModel()).transfer_seconds(
-            [o.client_to_server for o in outcomes],
-            [o.server_to_client for o in outcomes],
-            [o.roundtrips for o in outcomes],
-        )
+    _account_link(report, opts.link)

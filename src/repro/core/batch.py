@@ -2,12 +2,14 @@
 
 The paper's protocols are practical *because* "many files can be
 processed simultaneously", so the extra roundtrips of recursive splitting
-cost latency once per collection, not once per file.  This module runs
-the per-file state machines in lockstep: each round sends ONE combined
-hash message for every active file, one combined candidate bitmap, one
-combined message per verification batch, and finally one combined delta
-message.  Per-file sessions, planning and verification pools are exactly
-the single-file ones — only the framing is shared.
+cost latency once per collection, not once per file.  This module keeps
+one :class:`~repro.core.protocol.CoreSyncSession` per changed file and
+drives them through the single round engine
+(:func:`~repro.core.protocol.run_round`) in lockstep: each round sends
+ONE combined hash message for every active file, one combined candidate
+bitmap, one combined message per verification batch, and finally one
+combined delta message.  Only the handshake and the delta/fallback
+endgame have batch-specific framing.
 """
 
 from __future__ import annotations
@@ -15,43 +17,17 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.blocks import Block, HashAssignment, HashKind
-from repro.core.client import Candidate, ClientSession
 from repro.core.config import ProtocolConfig
-from repro.core.engine import resolve_engine
-from repro.core.planning import (
-    apply_known_hashes,
-    plan_continuation,
-    plan_global,
-    plan_mixed,
-)
 from repro.core.protocol import (
     PHASE_DELTA,
     PHASE_FALLBACK,
     PHASE_HANDSHAKE,
-    PHASE_MAP,
+    CoreSyncSession,
+    run_round,
 )
-from repro.core.server import ServerSession
-from repro.core.verification import VerificationPools, make_units
-from repro.exceptions import ProtocolError
-from repro.hashing.strong import file_fingerprint
 from repro.io.bitstream import BitReader, BitWriter
 from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction, TransferStats
-
-
-@dataclass
-class _FileState:
-    """Lockstep state for one file pair."""
-
-    name: str
-    client: ClientSession
-    server: ServerSession
-    unchanged: bool = False
-    reconstructed: bytes | None = None
-    used_fallback: bool = False
 
 
 @dataclass
@@ -73,29 +49,6 @@ class BatchReport:
         return self.stats.roundtrips
 
 
-def _planners(config: ProtocolConfig):
-    if config.continuation_first and config.continuation_enabled:
-        return (plan_continuation, None), (plan_global, "bits")
-    return ((plan_mixed, "bits"),)
-
-
-def _make_plans(
-    states: list[_FileState], planner, needs_bits: bool, endpoint: str
-) -> list[tuple[_FileState, list[HashAssignment]]]:
-    plans = []
-    for state in states:
-        if endpoint == "server":
-            tracker = state.server.tracker
-            bits = state.server.global_bits
-        else:
-            tracker = state.client.tracker
-            bits = state.client.global_bits
-        assert tracker is not None
-        plan = planner(tracker, bits) if needs_bits else planner(tracker)
-        plans.append((state, plan))
-    return plans
-
-
 def synchronize_batch(
     client_files: dict[str, bytes],
     server_files: dict[str, bytes],
@@ -114,91 +67,72 @@ def synchronize_batch(
         config = ProtocolConfig()
     if channel is None:
         channel = SimulatedChannel()
-    engine = resolve_engine(engine)
 
     names = sorted(set(client_files) & set(server_files))
-    states = [
-        _FileState(
-            name=name,
-            client=ClientSession(client_files[name], config, engine=engine),
-            server=ServerSession(server_files[name], config, engine=engine),
+    sessions = {
+        name: CoreSyncSession(
+            client_files[name], server_files[name], config, engine=engine
         )
         for name in names
-    ]
+    }
     report = BatchReport(stats=channel.stats)
 
     # --- Combined handshake -------------------------------------------
     request = BitWriter()
-    for state in states:
-        request.write_uvarint(len(client_files[state.name]))
+    for name in names:
+        request.write_uvarint(len(client_files[name]))
     channel.send(
         Direction.CLIENT_TO_SERVER, request.getvalue(), PHASE_HANDSHAKE,
         bits=request.bit_length,
     )
     request_reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-    for state in states:
-        state.server.set_client_length(request_reader.read_uvarint())
+    for session in sessions.values():
+        session.server.set_client_length(request_reader.read_uvarint())
 
     hello = BitWriter()
-    for state in states:
-        hello.write_bytes(state.server.fingerprint())
-        hello.write_uvarint(len(server_files[state.name]))
+    for name, session in sessions.items():
+        hello.write_bytes(session.server.fingerprint())
+        hello.write_uvarint(len(server_files[name]))
     channel.send(
         Direction.SERVER_TO_CLIENT, hello.getvalue(), PHASE_HANDSHAKE,
         bits=hello.bit_length,
     )
     hello_reader = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
     proceed = BitWriter()
-    for state in states:
-        state.unchanged = state.client.process_handshake(
-            hello_reader.read_bytes(16), hello_reader.read_uvarint()
-        )
-        proceed.write_bit(not state.unchanged)
-        if state.unchanged:
-            state.reconstructed = client_files[state.name]
-            report.unchanged_files.append(state.name)
+    for name, session in sessions.items():
+        proceed.write_bit(not session.accept_hello(hello_reader))
+        if session.unchanged:
+            report.reconstructed[name] = client_files[name]
+            report.unchanged_files.append(name)
     channel.send(
         Direction.CLIENT_TO_SERVER, proceed.getvalue(), PHASE_HANDSHAKE,
         bits=proceed.bit_length,
     )
     channel.receive(Direction.CLIENT_TO_SERVER)
 
-    active = [s for s in states if not s.unchanged]
+    active = {
+        name: session for name, session in sessions.items()
+        if not session.unchanged
+    }
 
     # --- Lockstep map construction --------------------------------------
-    while any(
-        s.server.tracker.has_active() for s in active
-    ):
+    stepping = [session for session in active.values() if not session.done]
+    while stepping:
         report.rounds += 1
-        for planner_spec in _planners(config):
-            planner, flag = planner_spec
-            needs_bits = flag == "bits"
-            server_plans = _make_plans(active, planner, needs_bits, "server")
-            client_plans = _make_plans(active, planner, needs_bits, "client")
-            _run_combined_subphase(
-                channel, config, server_plans, client_plans, engine
-            )
-        for state in active:
-            more_server = state.server.tracker.advance_level()
-            client_tracker = state.client.tracker
-            assert client_tracker is not None
-            more_client = client_tracker.advance_level()
-            if more_server != more_client:
-                raise ProtocolError("endpoint trees diverged in batch mode")
-        if config.max_rounds is not None and report.rounds >= config.max_rounds:
-            break
+        run_round(channel, stepping)
+        stepping = [session for session in stepping if not session.done]
 
     # --- Boundary refinement (optional; sequential per file) ------------
     if config.refine_boundaries:
         from repro.core.refine import run_boundary_refinement
 
-        for state in active:
-            run_boundary_refinement(channel, state.client, state.server)
+        for session in active.values():
+            run_boundary_refinement(channel, session.client, session.server)
 
     # --- Combined delta --------------------------------------------------
     delta_message = BitWriter()
-    for state in active:
-        delta = state.server.emit_delta()
+    for session in active.values():
+        delta = session.server.emit_delta()
         delta_message.write_uvarint(len(delta))
         delta_message.write_bytes(delta)
     channel.send(
@@ -207,14 +141,15 @@ def synchronize_batch(
     )
     delta_reader = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
     nack = BitWriter()
-    failed: list[_FileState] = []
-    for state in active:
+    failed: list[str] = []
+    for name, session in active.items():
         delta = delta_reader.read_bytes(delta_reader.read_uvarint())
-        state.reconstructed = state.client.apply_delta(delta)
-        bad = state.reconstructed is None
-        nack.write_bit(bad)
-        if bad:
-            failed.append(state)
+        reconstructed = session.client.apply_delta(delta)
+        nack.write_bit(reconstructed is None)
+        if reconstructed is None:
+            failed.append(name)
+        else:
+            report.reconstructed[name] = reconstructed
     channel.send(
         Direction.CLIENT_TO_SERVER, nack.getvalue(), PHASE_FALLBACK,
         bits=nack.bit_length,
@@ -222,8 +157,8 @@ def synchronize_batch(
     channel.receive(Direction.CLIENT_TO_SERVER)
     if failed:
         fallback = BitWriter()
-        for state in failed:
-            payload = zlib.compress(server_files[state.name], 9)
+        for name in failed:
+            payload = zlib.compress(server_files[name], 9)
             fallback.write_uvarint(len(payload))
             fallback.write_bytes(payload)
         channel.send(
@@ -231,198 +166,10 @@ def synchronize_batch(
             bits=fallback.bit_length,
         )
         fallback_reader = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-        for state in failed:
+        for name in failed:
             payload = fallback_reader.read_bytes(fallback_reader.read_uvarint())
-            state.reconstructed = zlib.decompress(payload)
-            state.used_fallback = True
-            report.fallback_files.append(state.name)
+            report.reconstructed[name] = zlib.decompress(payload)
+            report.fallback_files.append(name)
 
-    for state in states:
-        assert state.reconstructed is not None
-        report.reconstructed[state.name] = state.reconstructed
+    report.reconstructed = {name: report.reconstructed[name] for name in names}
     return report
-
-
-def _run_combined_subphase(
-    channel: SimulatedChannel,
-    config: ProtocolConfig,
-    server_plans: list[tuple[_FileState, list[HashAssignment]]],
-    client_plans: list[tuple[_FileState, list[HashAssignment]]],
-    engine: str = "vectorized",
-) -> None:
-    """One sub-phase across every file, one message per direction step."""
-    total_assignments = sum(len(plan) for _s, plan in server_plans)
-    if total_assignments == 0:
-        return
-    vectorized = engine == "vectorized"
-
-    # Server -> client: concatenated hash sections in file order.
-    hashes = BitWriter()
-    for state, plan in server_plans:
-        section = state.server.emit_hashes(plan)
-        section_bits = sum(a.transmitted_bits for a in plan)
-        if vectorized:
-            hashes.write_flags(BitReader(section).read_flags(section_bits))
-        else:
-            reader = BitReader(section)
-            for _ in range(section_bits):
-                hashes.write_bit(reader.read_bit())
-    channel.send(
-        Direction.SERVER_TO_CLIENT, hashes.getvalue(), PHASE_MAP,
-        bits=hashes.bit_length,
-    )
-
-    # Client: parse each file's section, find candidates, reply bitmap.
-    combined_reader = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-    per_file_candidates: list[tuple[_FileState, list[Candidate | None]]] = []
-    bitmap = BitWriter()
-    for state, plan in client_plans:
-        section_bits = sum(a.transmitted_bits for a in plan)
-        section_writer = BitWriter()
-        if vectorized:
-            section_writer.write_flags(
-                combined_reader.read_flags(section_bits)
-            )
-        else:
-            for _ in range(section_bits):
-                section_writer.write_bit(combined_reader.read_bit())
-        candidates = state.client.process_hashes(
-            plan, section_writer.getvalue()
-        )
-        per_file_candidates.append((state, candidates))
-        if vectorized:
-            bitmap.write_flags(
-                [candidate is not None for candidate in candidates]
-            )
-        else:
-            for candidate in candidates:
-                bitmap.write_bit(candidate is not None)
-    channel.send(
-        Direction.CLIENT_TO_SERVER, bitmap.getvalue(), PHASE_MAP,
-        bits=bitmap.bit_length,
-    )
-
-    bitmap_reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-    client_pools: list[tuple[_FileState, VerificationPools[Candidate]]] = []
-    server_pools: list[tuple[_FileState, VerificationPools[Block]]] = []
-    for (state, s_plan), (_c_state, candidates) in zip(
-        server_plans, per_file_candidates
-    ):
-        if vectorized:
-            flags = bitmap_reader.read_flags(len(s_plan)).tolist()
-        else:
-            flags = [bool(bitmap_reader.read_bit()) for _ in s_plan]
-        server_blocks = [
-            a.block for a, flagged in zip(s_plan, flags) if flagged
-        ]
-        server_pools.append(
-            (state, VerificationPools(main=server_blocks))
-        )
-        client_pools.append(
-            (state, VerificationPools(main=[c for c in candidates if c]))
-        )
-
-    # Verification batches, combined across files per batch index.
-    strategy = config.strategy()
-    for batch in strategy.batches:
-        client_selections = [
-            (state, pools, pools.select(batch)) for state, pools in client_pools
-        ]
-        server_selections = [
-            (state, pools, pools.select(batch)) for state, pools in server_pools
-        ]
-        if not any(selection for _s, _p, selection in client_selections):
-            continue
-        writer = BitWriter()
-        client_units_by_file = []
-        for state, _pools, selection in client_selections:
-            units = make_units(selection, batch)
-            client_units_by_file.append(units)
-            if vectorized:
-                writer.write_many(
-                    np.asarray(
-                        state.client.verification_values(units, batch),
-                        dtype=np.uint64,
-                    ),
-                    batch.bits,
-                )
-            else:
-                for unit in units:
-                    writer.write(
-                        state.client.verification_value(unit, batch),
-                        batch.bits,
-                    )
-        channel.send(
-            Direction.CLIENT_TO_SERVER, writer.getvalue(), PHASE_MAP,
-            bits=writer.bit_length,
-        )
-
-        verify_reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-        confirm = BitWriter()
-        server_results_by_file = []
-        for state, _pools, selection in server_selections:
-            units = make_units(selection, batch)
-            if vectorized:
-                received_values = verify_reader.read_many(
-                    len(units), batch.bits
-                ).tolist()
-                expected_values = state.server.verification_values(
-                    units, batch
-                )
-                passed = [
-                    received == expected
-                    for received, expected in zip(
-                        received_values, expected_values
-                    )
-                ]
-                confirm.write_flags(passed)
-            else:
-                passed = []
-                for unit in units:
-                    received = verify_reader.read(batch.bits)
-                    passed.append(
-                        received
-                        == state.server.verification_value(unit, batch)
-                    )
-                    confirm.write_bit(passed[-1])
-            server_results_by_file.append((units, passed))
-        channel.send(
-            Direction.SERVER_TO_CLIENT, confirm.getvalue(), PHASE_MAP,
-            bits=confirm.bit_length,
-        )
-
-        confirm_reader = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-        for index, (state, pools, _selection) in enumerate(client_selections):
-            units = client_units_by_file[index]
-            if vectorized:
-                passed = confirm_reader.read_flags(len(units)).tolist()
-            else:
-                passed = [bool(confirm_reader.read_bit()) for _ in units]
-            pools.apply(batch, units, passed)
-        for (state, pools, _selection), (units, passed) in zip(
-            server_selections, server_results_by_file
-        ):
-            pools.apply(batch, units, passed)
-
-    # Finish: record matches and continuation failures on both endpoints.
-    for file_index, (state, c_pools) in enumerate(client_pools):
-        _same_state, s_pools = server_pools[file_index]
-        _plan_state, server_plan = server_plans[file_index]
-        _plan_state_c, client_plan = client_plans[file_index]
-
-        accepted_candidates = c_pools.finish()
-        accepted_blocks = s_pools.finish()
-        state.client.record_accepted(accepted_candidates)
-        for block in accepted_blocks:
-            state.server.tracker.record_match(block)
-
-        accepted_client_ids = {id(c.block) for c in accepted_candidates}
-        accepted_server_ids = {id(b) for b in accepted_blocks}
-        for s_assignment, c_assignment in zip(server_plan, client_plan):
-            if s_assignment.kind is HashKind.CONTINUATION:
-                if id(s_assignment.block) not in accepted_server_ids:
-                    s_assignment.block.continuation_failed = True
-                if id(c_assignment.block) not in accepted_client_ids:
-                    c_assignment.block.continuation_failed = True
-        apply_known_hashes(server_plan)
-        apply_known_hashes(client_plan)

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from repro.core.blocks import Block
 from repro.core.client import Candidate, ClientSession
 from repro.core.config import ProtocolConfig
+from repro.core.protocol import run_verification
 from repro.core.server import ServerSession
-from repro.core.verification import VerificationPools, make_units
-from repro.exceptions import ProtocolError
 from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.strong import file_fingerprint
 from repro.io.bitstream import BitReader, BitWriter
@@ -40,7 +39,6 @@ from repro.net.metrics import Direction, TransferStats
 
 #: The shared stream's phase — counted once regardless of client count.
 PHASE_BROADCAST = "map-broadcast"
-PHASE_UNICAST = "map"
 PHASE_DELTA = "delta"
 PHASE_HANDSHAKE = "handshake"
 
@@ -206,9 +204,10 @@ def synchronize_broadcast(
                 if positions:
                     candidates.append(Candidate(c_block, positions[0]))
                     server_blocks.append(s_block)
-            # Private verification for this level's candidates.
-            accepted_c, accepted_s = _verify_unicast(
-                channel, client, server, config, candidates, server_blocks
+            # Private verification for this level's candidates: the
+            # unicast protocol's exchange, with this client as one lane.
+            [(accepted_c, accepted_s, _bits)] = run_verification(
+                channel, [(client, server, candidates, server_blocks)]
             )
             client.record_accepted(accepted_c)
             for candidate, s_block in zip(accepted_c, accepted_s):
@@ -238,55 +237,3 @@ def synchronize_broadcast(
         report.reconstructed[name] = reconstructed
         report.per_client_stats[name] = channel.stats
     return report
-
-
-def _verify_unicast(
-    channel: SimulatedChannel,
-    client: ClientSession,
-    server: ServerSession,
-    config: ProtocolConfig,
-    candidates: list[Candidate],
-    server_blocks: list[Block],
-) -> tuple[list[Candidate], list[Block]]:
-    """Private verification, mirroring the unicast protocol's exchange.
-
-    Accepted candidate/block pairs keep their alignment so callers can
-    zip them.
-    """
-    if len(candidates) != len(server_blocks):
-        raise ProtocolError("broadcast candidate lists diverged")
-    strategy = config.strategy()
-    # Keep (candidate, block) pairs together through the pools.
-    paired = list(zip(candidates, server_blocks))
-    client_pools: VerificationPools = VerificationPools(main=list(paired))
-    for batch in strategy.batches:
-        selection = client_pools.select(batch)
-        if not selection:
-            continue
-        units = make_units(selection, batch)
-        writer = BitWriter()
-        passed = []
-        for unit in units:
-            candidate_unit = [pair[0] for pair in unit]
-            value = client.verification_value(candidate_unit, batch)
-            writer.write(value, batch.bits)
-            block_unit = [pair[1] for pair in unit]
-            passed.append(
-                value == server.verification_value(block_unit, batch)
-            )
-        channel.send(
-            Direction.CLIENT_TO_SERVER, writer.getvalue(), PHASE_UNICAST,
-            bits=writer.bit_length,
-        )
-        bitmap = BitWriter()
-        for ok in passed:
-            bitmap.write_bit(ok)
-        channel.send(
-            Direction.SERVER_TO_CLIENT, bitmap.getvalue(), PHASE_UNICAST,
-            bits=bitmap.bit_length,
-        )
-        channel.receive(Direction.CLIENT_TO_SERVER)
-        channel.receive(Direction.SERVER_TO_CLIENT)
-        client_pools.apply(batch, units, passed)
-    accepted = client_pools.finish()
-    return [pair[0] for pair in accepted], [pair[1] for pair in accepted]

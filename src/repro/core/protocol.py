@@ -115,52 +115,60 @@ def _check_plans_match(
             )
 
 
-def _run_verification(
+def run_verification(
     channel: SimulatedChannel,
-    client: ClientSession,
-    server: ServerSession,
-    candidates: list[Candidate],
-    server_blocks: list[Block],
-) -> tuple[list[Candidate], list[Block], int]:
+    lanes: list[tuple[ClientSession, ServerSession, list[Candidate], list[Block]]],
+) -> list[tuple[list[Candidate], list[Block], int]]:
     """Execute the configured verification strategy for one sub-phase.
 
-    Returns the accepted candidates/blocks plus the client->server
-    verification bits spent (for tracing).
+    Each lane is one file's ``(client, server, candidates, blocks)``.
+    Every batch sends one client->server message and one confirmation
+    bitmap holding the lanes' sections in lane order; a lane with an
+    empty selection contributes zero bits, and a batch is skipped only
+    when every lane's selection is empty.  Returns, per lane, the
+    accepted candidates/blocks plus the client->server verification bits
+    spent (for tracing).
     """
+    client = lanes[0][0]
     strategy = client.config.strategy()
-    client_pools: VerificationPools[Candidate] = VerificationPools(
-        main=list(candidates)
-    )
-    server_pools: VerificationPools[Block] = VerificationPools(
-        main=list(server_blocks)
-    )
-    verification_bits = 0
     vectorized = client.engine == "vectorized"
+    client_pools: list[VerificationPools[Candidate]] = [
+        VerificationPools(main=list(candidates)) for _c, _s, candidates, _b in lanes
+    ]
+    server_pools: list[VerificationPools[Block]] = [
+        VerificationPools(main=list(blocks)) for _c, _s, _cands, blocks in lanes
+    ]
+    verification_bits = [0] * len(lanes)
     for batch in strategy.batches:
-        client_selection = client_pools.select(batch)
-        server_selection = server_pools.select(batch)
-        if len(client_selection) != len(server_selection):
-            raise ProtocolError("verification pools diverged")
-        if not client_selection:
+        client_units = []
+        server_units = []
+        for c_pools, s_pools in zip(client_pools, server_pools):
+            client_selection = c_pools.select(batch)
+            server_selection = s_pools.select(batch)
+            if len(client_selection) != len(server_selection):
+                raise ProtocolError("verification pools diverged")
+            client_units.append(make_units(client_selection, batch))
+            server_units.append(make_units(server_selection, batch))
+        if not any(client_units):
             continue
-        client_units = make_units(client_selection, batch)
-        server_units = make_units(server_selection, batch)
 
         writer = BitWriter()
-        if vectorized:
-            writer.write_many(
-                np.asarray(
-                    client.verification_values(client_units, batch),
-                    dtype=np.uint64,
-                ),
-                batch.bits,
-            )
-        else:
-            for unit in client_units:
-                writer.write(
-                    client.verification_value(unit, batch), batch.bits
+        for index, ((lane_client, *_), units) in enumerate(zip(lanes, client_units)):
+            before = writer.bit_length
+            if vectorized:
+                writer.write_many(
+                    np.asarray(
+                        lane_client.verification_values(units, batch),
+                        dtype=np.uint64,
+                    ),
+                    batch.bits,
                 )
-        verification_bits += writer.bit_length
+            else:
+                for unit in units:
+                    writer.write(
+                        lane_client.verification_value(unit, batch), batch.bits
+                    )
+            verification_bits[index] += writer.bit_length - before
         channel.send(
             Direction.CLIENT_TO_SERVER,
             writer.getvalue(),
@@ -169,29 +177,29 @@ def _run_verification(
         )
 
         reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-        if vectorized:
-            received_values = reader.read_many(
-                len(server_units), batch.bits
-            ).tolist()
-            expected_values = server.verification_values(server_units, batch)
-            passed = [
-                received == expected
-                for received, expected in zip(received_values, expected_values)
-            ]
-        else:
-            passed = []
-            for unit in server_units:
-                received = reader.read(batch.bits)
-                passed.append(
-                    received == server.verification_value(unit, batch)
-                )
+        passed_by_lane = []
+        for (_c, server, *_), units in zip(lanes, server_units):
+            if vectorized:
+                received_values = reader.read_many(len(units), batch.bits).tolist()
+                expected_values = server.verification_values(units, batch)
+                passed = [
+                    received == expected
+                    for received, expected in zip(received_values, expected_values)
+                ]
+            else:
+                passed = [
+                    reader.read(batch.bits) == server.verification_value(unit, batch)
+                    for unit in units
+                ]
+            passed_by_lane.append(passed)
 
         bitmap = BitWriter()
         if vectorized:
-            bitmap.write_flags(passed)
+            bitmap.write_flags([ok for passed in passed_by_lane for ok in passed])
         else:
-            for ok in passed:
-                bitmap.write_bit(ok)
+            for passed in passed_by_lane:
+                for ok in passed:
+                    bitmap.write_bit(ok)
         channel.send(
             Direction.SERVER_TO_CLIENT,
             bitmap.getvalue(),
@@ -199,49 +207,90 @@ def _run_verification(
             bits=bitmap.bit_length,
         )
         confirm = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-        if vectorized:
-            client_passed = confirm.read_flags(len(client_units)).tolist()
-        else:
-            client_passed = [bool(confirm.read_bit()) for _ in client_units]
+        for c_pools, s_pools, c_units, s_units, passed in zip(
+            client_pools, server_pools, client_units, server_units, passed_by_lane
+        ):
+            if vectorized:
+                client_passed = confirm.read_flags(len(c_units)).tolist()
+            else:
+                client_passed = [bool(confirm.read_bit()) for _ in c_units]
+            c_pools.apply(batch, c_units, client_passed)
+            s_pools.apply(batch, s_units, passed)
+    return [
+        (c_pools.finish(), s_pools.finish(), bits)
+        for c_pools, s_pools, bits in zip(
+            client_pools, server_pools, verification_bits
+        )
+    ]
 
-        client_pools.apply(batch, client_units, client_passed)
-        server_pools.apply(batch, server_units, passed)
-    return client_pools.finish(), server_pools.finish(), verification_bits
+
+def _join_sections(sections: list[bytes], widths: list[int]) -> bytes:
+    """Concatenate zero-padded bit-packed sections into one payload."""
+    writer = BitWriter()
+    for section, bits in zip(sections, widths):
+        writer.write_flags(BitReader(section).read_flags(bits))
+    return writer.getvalue()
+
+
+def _split_sections(payload: bytes, widths: list[int]) -> list[bytes]:
+    """Inverse of :func:`_join_sections`."""
+    reader = BitReader(payload)
+    sections = []
+    for bits in widths:
+        writer = BitWriter()
+        writer.write_flags(reader.read_flags(bits))
+        sections.append(writer.getvalue())
+    return sections
 
 
 def _run_subphase(
     channel: SimulatedChannel,
-    client: ClientSession,
-    server: ServerSession,
-    server_plan: list[HashAssignment],
-    client_plan: list[HashAssignment],
-    round_index: int = 0,
-) -> tuple[int, int, "SubphaseTrace | None"]:
+    lanes: "list[tuple[CoreSyncSession, list[HashAssignment], list[HashAssignment]]]",
+) -> tuple[int, int, list[SubphaseTrace]]:
     """One hash message + candidate bitmap + verification exchange.
 
-    Returns ``(continuation_candidates, continuation_accepted, trace)``.
+    Each lane is one session's ``(session, server_plan, client_plan)``;
+    each message concatenates the lanes' sections in lane order (a lane
+    with an empty plan contributes zero bits), and the sub-phase is
+    skipped when every plan is empty.  Credits each session's
+    continuation counters and trace itself and returns the sums
+    ``(continuation_candidates, continuation_accepted, traces)``.
     """
-    _check_plans_match(server_plan, client_plan)
-    if not server_plan:
-        return (0, 0, None)
+    for _session, server_plan, client_plan in lanes:
+        _check_plans_match(server_plan, client_plan)
+    if not any(server_plan for _session, server_plan, _c in lanes):
+        return (0, 0, [])
+    vectorized = lanes[0][0].engine == "vectorized"
 
-    payload = server.emit_hashes(server_plan)
-    payload_bits = sum(a.transmitted_bits for a in server_plan)
+    widths = [
+        sum(a.transmitted_bits for a in server_plan)
+        for _session, server_plan, _c in lanes
+    ]
+    payload = _join_sections(
+        [session.server.emit_hashes(plan) for session, plan, _c in lanes], widths
+    )
     channel.send(
-        Direction.SERVER_TO_CLIENT, payload, PHASE_MAP, bits=payload_bits
+        Direction.SERVER_TO_CLIENT, payload, PHASE_MAP, bits=sum(widths)
     )
-    candidates_by_plan = client.process_hashes(
-        client_plan, channel.receive(Direction.SERVER_TO_CLIENT)
-    )
+    sections = _split_sections(channel.receive(Direction.SERVER_TO_CLIENT), widths)
+    candidates_by_lane = [
+        session.client.process_hashes(client_plan, section)
+        for (session, _s, client_plan), section in zip(lanes, sections)
+    ]
 
     bitmap = BitWriter()
-    if client.engine == "vectorized":
+    if vectorized:
         bitmap.write_flags(
-            [candidate is not None for candidate in candidates_by_plan]
+            [
+                candidate is not None
+                for candidates_by_plan in candidates_by_lane
+                for candidate in candidates_by_plan
+            ]
         )
     else:
-        for candidate in candidates_by_plan:
-            bitmap.write_bit(candidate is not None)
+        for candidates_by_plan in candidates_by_lane:
+            for candidate in candidates_by_plan:
+                bitmap.write_bit(candidate is not None)
     channel.send(
         Direction.CLIENT_TO_SERVER,
         bitmap.getvalue(),
@@ -249,62 +298,150 @@ def _run_subphase(
         bits=bitmap.bit_length,
     )
     reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-    if server.engine == "vectorized":
-        server_flags = reader.read_flags(len(server_plan)).tolist()
-    else:
-        server_flags = [bool(reader.read_bit()) for _ in server_plan]
-
-    candidates = [c for c in candidates_by_plan if c is not None]
-    server_blocks = [
-        assignment.block
-        for assignment, flagged in zip(server_plan, server_flags)
-        if flagged
-    ]
-
-    accepted_candidates, accepted_blocks, verification_bits = (
-        _run_verification(channel, client, server, candidates, server_blocks)
-    )
-
-    client.record_accepted(accepted_candidates)
-    for block in accepted_blocks:
-        server.tracker.record_match(block)
-
-    # Both endpoints now mark failed continuation attempts identically.
-    accepted_client_ids = {id(c.block) for c in accepted_candidates}
-    accepted_server_ids = {id(b) for b in accepted_blocks}
-    continuation_candidates = 0
-    continuation_accepted = 0
-    for (s_assignment, c_assignment), candidate in zip(
-        zip(server_plan, client_plan), candidates_by_plan
+    verify_lanes = []
+    for (session, server_plan, _c), candidates_by_plan in zip(
+        lanes, candidates_by_lane
     ):
-        if s_assignment.kind is HashKind.CONTINUATION:
-            if candidate is not None:
-                continuation_candidates += 1
-                if id(c_assignment.block) in accepted_client_ids:
-                    continuation_accepted += 1
-            if id(s_assignment.block) not in accepted_server_ids:
-                s_assignment.block.continuation_failed = True
-            if id(c_assignment.block) not in accepted_client_ids:
-                c_assignment.block.continuation_failed = True
-
-    apply_known_hashes(server_plan)
-    apply_known_hashes(client_plan)
-
-    trace = None
-    if client.config.collect_trace:
-        hash_counts: dict[HashKind, int] = {}
-        for assignment in server_plan:
-            hash_counts[assignment.kind] = hash_counts.get(assignment.kind, 0) + 1
-        trace = SubphaseTrace(
-            round_index=round_index,
-            block_length=max(a.block.length for a in server_plan),
-            hash_counts=hash_counts,
-            hash_bits_sent=payload_bits,
-            candidates=len(candidates),
-            accepted=len(accepted_candidates),
-            verification_bits=verification_bits,
+        if vectorized:
+            server_flags = reader.read_flags(len(server_plan)).tolist()
+        else:
+            server_flags = [bool(reader.read_bit()) for _ in server_plan]
+        verify_lanes.append(
+            (
+                session.client,
+                session.server,
+                [c for c in candidates_by_plan if c is not None],
+                [
+                    assignment.block
+                    for assignment, flagged in zip(server_plan, server_flags)
+                    if flagged
+                ],
+            )
         )
-    return (continuation_candidates, continuation_accepted, trace)
+    verified = run_verification(channel, verify_lanes)
+
+    total_candidates = total_accepted = 0
+    traces: list[SubphaseTrace] = []
+    for (session, server_plan, client_plan), candidates_by_plan, (
+        accepted_candidates, accepted_blocks, verification_bits
+    ), width in zip(lanes, candidates_by_lane, verified, widths):
+        session.client.record_accepted(accepted_candidates)
+        for block in accepted_blocks:
+            session.server.tracker.record_match(block)
+
+        # Both endpoints now mark failed continuation attempts identically.
+        accepted_client_ids = {id(c.block) for c in accepted_candidates}
+        accepted_server_ids = {id(b) for b in accepted_blocks}
+        continuation_candidates = 0
+        continuation_accepted = 0
+        for (s_assignment, c_assignment), candidate in zip(
+            zip(server_plan, client_plan), candidates_by_plan
+        ):
+            if s_assignment.kind is HashKind.CONTINUATION:
+                if candidate is not None:
+                    continuation_candidates += 1
+                    if id(c_assignment.block) in accepted_client_ids:
+                        continuation_accepted += 1
+                if id(s_assignment.block) not in accepted_server_ids:
+                    s_assignment.block.continuation_failed = True
+                if id(c_assignment.block) not in accepted_client_ids:
+                    c_assignment.block.continuation_failed = True
+
+        apply_known_hashes(server_plan)
+        apply_known_hashes(client_plan)
+        session.continuation_candidates += continuation_candidates
+        session.continuation_accepted += continuation_accepted
+        total_candidates += continuation_candidates
+        total_accepted += continuation_accepted
+
+        if session.config.collect_trace and server_plan:
+            hash_counts: dict[HashKind, int] = {}
+            for assignment in server_plan:
+                hash_counts[assignment.kind] = (
+                    hash_counts.get(assignment.kind, 0) + 1
+                )
+            trace = SubphaseTrace(
+                round_index=session.rounds,
+                block_length=max(a.block.length for a in server_plan),
+                hash_counts=hash_counts,
+                hash_bits_sent=width,
+                candidates=sum(c is not None for c in candidates_by_plan),
+                accepted=len(accepted_candidates),
+                verification_bits=verification_bits,
+            )
+            session.trace.append(trace)
+            traces.append(trace)
+    return (total_candidates, total_accepted, traces)
+
+
+def run_round(
+    channel: SimulatedChannel, sessions: "list[CoreSyncSession]"
+) -> None:
+    """Execute one map-construction round over ``sessions`` in lockstep.
+
+    The sessions share one config and each runs exactly the round a
+    single-session :meth:`CoreSyncSession.step_round` would, with its
+    messages concatenated into each shared message in session order.
+    Covers the round counter and its stall guard, both sub-phases, the
+    level split with its divergence check, and the round checkpoint.
+    """
+    for session in sessions:
+        if not session._started:
+            raise ValueError("step_round before start()")
+        session.rounds += 1
+        if session.rounds > _STALL_ROUND_LIMIT:
+            raise SyncStalledError(
+                f"map construction still has active blocks after "
+                f"{_STALL_ROUND_LIMIT} rounds — session is not converging"
+            )
+    channel.mark_round(max(session.rounds for session in sessions))
+    config = sessions[0].config
+    if config.continuation_first and config.continuation_enabled:
+        planners = [
+            lambda tracker, bits: plan_continuation(tracker),
+            plan_global,
+        ]
+    else:
+        planners = [plan_mixed]
+    for planner in planners:
+        # Plans must be derived immediately before each sub-phase:
+        # the continuation sub-phase's confirmations feed the global
+        # sub-phase's skip rules.
+        _run_subphase(
+            channel,
+            [
+                (
+                    session,
+                    planner(session.server.tracker, session.server.global_bits),
+                    planner(
+                        session.client._require_tracker(),
+                        session.client.global_bits,
+                    ),
+                )
+                for session in sessions
+            ],
+        )
+    for session in sessions:
+        more_server = session.server.tracker.advance_level()
+        more_client = session.client._require_tracker().advance_level()
+        if more_server != more_client:
+            raise ProtocolError("endpoint trees diverged while splitting")
+        if session.checkpointer is not None:
+            from repro.core.snapshot import snapshot_round_state
+
+            session.checkpointer.record_round(
+                session.rounds,
+                snapshot_round_state(
+                    session.client,
+                    session.server,
+                    session.rounds,
+                    session.continuation_candidates,
+                    session.continuation_accepted,
+                ),
+                channel.stats,
+            )
+        if not more_server:
+            session._no_more = True
 
 
 class CoreSyncSession:
@@ -380,10 +517,7 @@ class CoreSyncSession:
             channel.send(
                 Direction.SERVER_TO_CLIENT, hello.getvalue(), PHASE_HANDSHAKE
             )
-            hello_reader = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-            self.unchanged = self.client.process_handshake(
-                hello_reader.read_bytes(16), hello_reader.read_uvarint()
-            )
+            self.accept_hello(BitReader(channel.receive(Direction.SERVER_TO_CLIENT)))
 
             channel.send(
                 Direction.CLIENT_TO_SERVER,
@@ -395,6 +529,18 @@ class CoreSyncSession:
         if not self.unchanged:
             assert self.server.global_bits is not None
         self._started = True
+
+    def accept_hello(self, hello: BitReader) -> bool:
+        """Client side of the server hello (fingerprint, length).
+
+        Returns whether the files already match; either way the session
+        may now step rounds.
+        """
+        self.unchanged = self.client.process_handshake(
+            hello.read_bytes(16), hello.read_uvarint()
+        )
+        self._started = True
+        return self.unchanged
 
     @property
     def done(self) -> bool:
@@ -419,60 +565,7 @@ class CoreSyncSession:
     # ------------------------------------------------------------------
     def step_round(self, channel: SimulatedChannel) -> None:
         """Execute exactly one map-construction round, checkpoint included."""
-        if not self._started:
-            raise ValueError("step_round before start()")
-        config = self.config
-        self.rounds += 1
-        if self.rounds > _STALL_ROUND_LIMIT:
-            raise SyncStalledError(
-                f"map construction still has active blocks after "
-                f"{_STALL_ROUND_LIMIT} rounds — session is not converging"
-            )
-        channel.mark_round(self.rounds)
-        client_tracker = self.client._require_tracker()
-        if config.continuation_first and config.continuation_enabled:
-            planners = [
-                lambda tracker, bits: plan_continuation(tracker),
-                plan_global,
-            ]
-        else:
-            planners = [plan_mixed]
-        for planner in planners:
-            # Plans must be derived immediately before each sub-phase:
-            # the continuation sub-phase's confirmations feed the global
-            # sub-phase's skip rules.
-            found, accepted, subphase_trace = _run_subphase(
-                channel,
-                self.client,
-                self.server,
-                planner(self.server.tracker, self.server.global_bits),
-                planner(client_tracker, self.client.global_bits),
-                round_index=self.rounds,
-            )
-            self.continuation_candidates += found
-            self.continuation_accepted += accepted
-            if subphase_trace is not None:
-                self.trace.append(subphase_trace)
-        more_server = self.server.tracker.advance_level()
-        more_client = client_tracker.advance_level()
-        if more_server != more_client:
-            raise ProtocolError("endpoint trees diverged while splitting")
-        if self.checkpointer is not None:
-            from repro.core.snapshot import snapshot_round_state
-
-            self.checkpointer.record_round(
-                self.rounds,
-                snapshot_round_state(
-                    self.client,
-                    self.server,
-                    self.rounds,
-                    self.continuation_candidates,
-                    self.continuation_accepted,
-                ),
-                channel.stats,
-            )
-        if not more_server:
-            self._no_more = True
+        run_round(channel, [self])
 
     # ------------------------------------------------------------------
     def finish(self, channel: SimulatedChannel) -> SyncResult:

@@ -89,6 +89,31 @@ class TestBatchedCollectionSync:
         )
         assert report.reconstructed == tree.new
 
+    def test_link_latency_from_the_shared_channel(self):
+        from repro.collection import sync_collection_batched
+        from repro.core import synchronize_batch
+        from repro.net import LinkModel
+
+        tree = gcc_like(scale=0.08, seed=6)
+        report = sync_collection_batched(tree.old, tree.new)
+        changed = report.diff.changed
+        batch = synchronize_batch(
+            {n: tree.old[n] for n in changed}, {n: tree.new[n] for n in changed}
+        )
+        assert report.per_file["<batch>"].roundtrips == batch.roundtrips > 0
+        assert report.roundtrips_on_wire == batch.roundtrips
+        assert report.link_wall_clock_s == pytest.approx(
+            LinkModel().transfer_seconds(
+                batch.stats.client_to_server_bytes,
+                batch.stats.server_to_client_bytes,
+                batch.roundtrips,
+            )
+        )
+        # The point of the mode: far fewer roundtrips than file-by-file.
+        sequential = sync_collection(tree.old, tree.new, OursMethod())
+        assert report.roundtrips_on_wire < sequential.roundtrips_on_wire / 4
+        assert report.link_wall_clock_s < sequential.link_wall_clock_s
+
 
 class _BrokenMethod(SyncMethod):
     name = "broken"

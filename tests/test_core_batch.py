@@ -144,3 +144,36 @@ class TestBatchWithRefinement:
         )
         report = synchronize_batch(old_side, new_side, config)
         assert report.reconstructed == new_side
+
+
+class TestStallGuard:
+    @pytest.mark.parametrize("driver", ["synchronize", "synchronize_batch"])
+    def test_non_converging_tracker_raises(self, driver, monkeypatch):
+        """A frontier that never empties must end in ``SyncStalledError``
+        within ``_STALL_ROUND_LIMIT`` rounds, not loop forever."""
+        import random
+
+        from repro.core.blocks import BlockTracker
+        from repro.core.protocol import _STALL_ROUND_LIMIT
+        from repro.exceptions import SyncStalledError
+
+        levels: list[int] = []
+
+        def never_converges(tracker):
+            # Keeps the current level (none of it ever matches) active.
+            levels.append(tracker.level)
+            if tracker.level >= 200:
+                raise RuntimeError("no stall guard after 200 rounds")
+            tracker.level += 1
+            return True
+
+        monkeypatch.setattr(BlockTracker, "advance_level", never_converges)
+        rng = random.Random(31)
+        old, new = (bytes(rng.randrange(256) for _ in range(3000))
+                    for _ in range(2))
+        with pytest.raises(SyncStalledError):
+            if driver == "synchronize":
+                synchronize(old, new)
+            else:
+                synchronize_batch({"a": old, "b": new}, {"a": new, "b": old})
+        assert max(levels) == _STALL_ROUND_LIMIT - 1

@@ -9,7 +9,7 @@ import pytest
 
 from repro.collection import Manifest, diff_manifests, reconcile_manifests
 from repro.core import ProtocolConfig
-from repro.core.batch import _FileState
+from repro.core.protocol import CoreSyncSession
 from tests.conftest import make_version_pair
 
 
@@ -80,17 +80,13 @@ class TestMultiroundTokens:
 
 
 class TestBatchInternals:
-    def test_file_state_defaults(self):
-        from repro.core.client import ClientSession
-        from repro.core.server import ServerSession
-
-        state = _FileState(
-            name="f",
-            client=ClientSession(b"old", ProtocolConfig()),
-            server=ServerSession(b"new", ProtocolConfig()),
-        )
-        assert not state.unchanged
-        assert state.reconstructed is None
+    def test_session_defaults(self):
+        """Batch mode drives one CoreSyncSession per file; before the
+        handshake a session is neither unchanged nor done."""
+        session = CoreSyncSession(b"old", b"new", ProtocolConfig())
+        assert not session.unchanged
+        assert not session.done
+        assert session.rounds == 0
 
     def test_batch_handles_mixed_sizes(self):
         from repro.core import synchronize_batch
