@@ -12,7 +12,8 @@ from __future__ import annotations
 from conftest import publish
 
 from repro.bench import format_kb, render_table
-from repro.collection import sync_collection_batched
+from repro.bench.methods import OursMethod
+from repro.collection import sync_collection
 from repro.core import ProtocolConfig, synchronize
 from repro.core.batch import synchronize_batch
 from repro.net import LinkModel, SimulatedChannel
@@ -51,13 +52,13 @@ def test_ablation_batching(benchmark, web_collection):
             "per-file",
             format_kb(per_file_bytes),
             per_file_roundtrips,
-            f"{link.transfer_time(per_file_bytes, per_file_roundtrips):.1f}",
+            f"{link.transfer_seconds(0, per_file_bytes, per_file_roundtrips):.1f}",
         ],
         [
             "batched",
             format_kb(batch.total_bytes),
             batch.roundtrips,
-            f"{link.transfer_time(batch.total_bytes, batch.roundtrips):.1f}",
+            f"{link.transfer_seconds(0, batch.total_bytes, batch.roundtrips):.1f}",
         ],
     ]
     publish(
@@ -77,6 +78,11 @@ def test_ablation_batching(benchmark, web_collection):
 
     benchmark.extra_info["batched_roundtrips"] = batch.roundtrips
     benchmark.extra_info["per_file_roundtrips"] = per_file_roundtrips
+    # Batched mode is pipelined sync with one cohort of every file.
     benchmark.pedantic(
-        sync_collection_batched, args=(base, target), iterations=1, rounds=1
+        sync_collection,
+        args=(base, target, OursMethod()),
+        kwargs={"pipeline": True, "window": len(target)},
+        iterations=1,
+        rounds=1,
     )

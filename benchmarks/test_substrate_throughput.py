@@ -147,45 +147,6 @@ def test_sorted_position_map_throughput(benchmark):
     )
 
 
-def test_mux_batch_pack_throughput(benchmark):
-    """Multiplexed sub-frame encode+decode for one scheduler wave.
-
-    The pipelined collection scheduler packs every in-flight file's
-    round message into one shared batch per direction group; framing
-    must stay a rounding error next to protocol compute.  A wave of 64
-    small sub-frames round-trips through
-    :func:`~repro.net.frame.encode_mux_batch` /
-    :func:`~repro.net.frame.decode_mux_batch` per call.
-    """
-    from repro.net.frame import (
-        MuxSubframe,
-        decode_mux_batch,
-        encode_mux_batch,
-        mux_overhead_bytes,
-    )
-
-    rng = random.Random(11)
-    subframes = [
-        MuxSubframe(
-            stream_id=index,
-            round_index=rng.randrange(12),
-            seq=rng.randrange(6),
-            bit_length=8 * 600,
-            payload=rng.randbytes(600),
-        )
-        for index in range(64)
-    ]
-
-    def roundtrip():
-        batch = encode_mux_batch(subframes)
-        return batch, decode_mux_batch(batch)
-
-    batch, decoded = benchmark(roundtrip)
-    assert decoded == subframes
-    # Header cost: count + 4 uvarints per sub-frame — a few bytes each.
-    assert mux_overhead_bytes(batch, subframes) < 10 * len(subframes)
-
-
 def test_full_protocol_throughput(benchmark, payload):
     """End-to-end protocol speed on a 1 MB file (the paper's 'few MB of
     raw data per second' claim, in Python)."""

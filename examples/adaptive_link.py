@@ -58,6 +58,11 @@ def main() -> None:
             result, config = adaptive_synchronize(old, new, link, channel)
             assert result.reconstructed == new
             default_result = synchronize(old, new)
+            link_seconds = link.transfer_seconds(
+                channel.stats.client_to_server_bytes,
+                channel.stats.server_to_client_bytes,
+                channel.stats.roundtrips,
+            )
             rows.append(
                 [
                     pair_name,
@@ -67,7 +72,7 @@ def main() -> None:
                     config.verification,
                     f"{result.total_bytes:,}",
                     f"{default_result.total_bytes:,}",
-                    f"{channel.estimated_transfer_time():.1f}",
+                    f"{link_seconds:.1f}",
                 ]
             )
     print(

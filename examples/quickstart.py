@@ -47,7 +47,12 @@ def main() -> None:
     print(f"rounds           : {result.rounds} "
           f"({result.stats.roundtrips} one-way exchanges)")
     print(f"map coverage     : {result.known_fraction:.1%} of the new file")
-    print(f"est. link time   : {channel.estimated_transfer_time():.2f} s")
+    link_seconds = channel.link.transfer_seconds(
+        result.stats.client_to_server_bytes,
+        result.stats.server_to_client_bytes,
+        result.stats.roundtrips,
+    )
+    print(f"est. link time   : {link_seconds:.2f} s")
 
     # 3. Baselines.
     rsync_result = rsync_sync(old_version, new_version)

@@ -30,7 +30,7 @@ __all__ = [
 
 
 # Now lives in repro.syncmethod (import-cycle-free home shared with the
-# pipelined collection scheduler); kept under the old private name for
+# pipelined collection sync); kept under the old private name for
 # the harness modules that import it.
 _wire_outcome = wire_outcome
 

@@ -9,11 +9,6 @@ costs aggregated.
 
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
 from repro.collection.options import SyncOptions
-from repro.collection.pipeline import (
-    CollectionScheduler,
-    PipelineRun,
-    RecordingChannel,
-)
 from repro.collection.reconcile import reconcile_manifests
 from repro.collection.store import (
     TMP_SUFFIX,
@@ -24,18 +19,11 @@ from repro.collection.store import (
     save_manifest,
 )
 from repro.collection.scrub import ScrubReport, StoreScrubber
-from repro.collection.sync import (
-    CollectionReport,
-    sync_collection,
-    sync_collection_batched,
-)
+from repro.collection.sync import CollectionReport, sync_collection
 
 __all__ = [
     "CollectionReport",
-    "CollectionScheduler",
     "CollectionStore",
-    "PipelineRun",
-    "RecordingChannel",
     "ScrubReport",
     "StoreScrubber",
     "SyncOptions",
@@ -49,5 +37,4 @@ __all__ = [
     "reconcile_manifests",
     "save_manifest",
     "sync_collection",
-    "sync_collection_batched",
 ]

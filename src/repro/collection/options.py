@@ -65,10 +65,10 @@ class SyncOptions:
     breakers or deadlines a file refused by its breaker or out of budget
     is recorded in ``report.failed`` even under ``on_error="raise"``.
 
-    Pipelined scheduling (DESIGN §16): ``pipeline`` interleaves the
-    changed files' protocol rounds, up to ``window`` in flight, over one
-    multiplexed channel, so link latency is paid per wave instead of per
-    file per round.  Per-file transcripts, byte accounting and
+    Pipelined scheduling (DESIGN §16): ``pipeline`` runs the changed
+    files in cohorts of ``window``, each cohort's messages joined on one
+    shared channel, so link latency is paid per cohort round instead of
+    per file per round.  Per-file transcripts, byte accounting and
     checkpoints stay bit-identical to the sequential run.
 
     Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the delta-memo

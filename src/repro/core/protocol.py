@@ -37,6 +37,7 @@ from repro.core.verification import VerificationPools, make_units
 from repro.exceptions import ProtocolError, SyncStalledError
 from repro.io.bitstream import BitReader, BitWriter
 from repro.net.channel import SimulatedChannel
+from repro.net.lanes import exchange
 from repro.net.metrics import Direction, TransferStats
 
 PHASE_HANDSHAKE = "handshake"
@@ -118,17 +119,21 @@ def _check_plans_match(
 def run_verification(
     channel: SimulatedChannel,
     lanes: list[tuple[ClientSession, ServerSession, list[Candidate], list[Block]]],
+    ledgers: list[SimulatedChannel] | None = None,
 ) -> list[tuple[list[Candidate], list[Block], int]]:
     """Execute the configured verification strategy for one sub-phase.
 
-    Each lane is one file's ``(client, server, candidates, blocks)``.
-    Every batch sends one client->server message and one confirmation
-    bitmap holding the lanes' sections in lane order; a lane with an
-    empty selection contributes zero bits, and a batch is skipped only
-    when every lane's selection is empty.  Returns, per lane, the
-    accepted candidates/blocks plus the client->server verification bits
-    spent (for tracing).
+    Each lane is one file's ``(client, server, candidates, blocks)`` and
+    ``ledgers`` holds each lane's accounting channel (default:
+    ``channel``).  Every batch sends one client->server message and one
+    confirmation bitmap joining the lanes' sections (the lane rule of
+    :mod:`repro.net.lanes`); a lane with an empty selection takes no
+    part, and a batch is skipped only when every lane's selection is
+    empty.  Returns, per lane, the accepted candidates/blocks plus the
+    client->server verification bits spent (for tracing).
     """
+    if ledgers is None:
+        ledgers = [channel] * len(lanes)
     client = lanes[0][0]
     strategy = client.config.strategy()
     vectorized = client.engine == "vectorized"
@@ -152,9 +157,12 @@ def run_verification(
         if not any(client_units):
             continue
 
-        writer = BitWriter()
+        sections: list[tuple[bytes, int] | None] = []
         for index, ((lane_client, *_), units) in enumerate(zip(lanes, client_units)):
-            before = writer.bit_length
+            if not units:
+                sections.append(None)
+                continue
+            writer = BitWriter()
             if vectorized:
                 writer.write_many(
                     np.asarray(
@@ -168,17 +176,21 @@ def run_verification(
                     writer.write(
                         lane_client.verification_value(unit, batch), batch.bits
                     )
-            verification_bits[index] += writer.bit_length - before
-        channel.send(
-            Direction.CLIENT_TO_SERVER,
-            writer.getvalue(),
-            PHASE_MAP,
-            bits=writer.bit_length,
+            verification_bits[index] += writer.bit_length
+            sections.append((writer.getvalue(), writer.bit_length))
+        received = exchange(
+            channel, Direction.CLIENT_TO_SERVER, PHASE_MAP, ledgers, sections
         )
 
-        reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
         passed_by_lane = []
-        for (_c, server, *_), units in zip(lanes, server_units):
+        bitmaps: list[tuple[bytes, int] | None] = []
+        for (_c, server, *_), units, section in zip(lanes, server_units, received):
+            if section is None:
+                passed_by_lane.append([])
+                bitmaps.append(None)
+                continue
+            reader = BitReader(section)
+            bitmap = BitWriter()
             if vectorized:
                 received_values = reader.read_many(len(units), batch.bits).tolist()
                 expected_values = server.verification_values(units, batch)
@@ -186,33 +198,29 @@ def run_verification(
                     received == expected
                     for received, expected in zip(received_values, expected_values)
                 ]
+                bitmap.write_flags(passed)
             else:
                 passed = [
                     reader.read(batch.bits) == server.verification_value(unit, batch)
                     for unit in units
                 ]
-            passed_by_lane.append(passed)
-
-        bitmap = BitWriter()
-        if vectorized:
-            bitmap.write_flags([ok for passed in passed_by_lane for ok in passed])
-        else:
-            for passed in passed_by_lane:
                 for ok in passed:
                     bitmap.write_bit(ok)
-        channel.send(
-            Direction.SERVER_TO_CLIENT,
-            bitmap.getvalue(),
-            PHASE_MAP,
-            bits=bitmap.bit_length,
+            passed_by_lane.append(passed)
+            bitmaps.append((bitmap.getvalue(), bitmap.bit_length))
+        confirmed = exchange(
+            channel, Direction.SERVER_TO_CLIENT, PHASE_MAP, ledgers, bitmaps
         )
-        confirm = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-        for c_pools, s_pools, c_units, s_units, passed in zip(
-            client_pools, server_pools, client_units, server_units, passed_by_lane
+        for c_pools, s_pools, c_units, s_units, passed, section in zip(
+            client_pools, server_pools, client_units, server_units,
+            passed_by_lane, confirmed,
         ):
-            if vectorized:
-                client_passed = confirm.read_flags(len(c_units)).tolist()
+            if section is None:
+                client_passed = []
+            elif vectorized:
+                client_passed = BitReader(section).read_flags(len(c_units)).tolist()
             else:
+                confirm = BitReader(section)
                 client_passed = [bool(confirm.read_bit()) for _ in c_units]
             c_pools.apply(batch, c_units, client_passed)
             s_pools.apply(batch, s_units, passed)
@@ -224,25 +232,6 @@ def run_verification(
     ]
 
 
-def _join_sections(sections: list[bytes], widths: list[int]) -> bytes:
-    """Concatenate zero-padded bit-packed sections into one payload."""
-    writer = BitWriter()
-    for section, bits in zip(sections, widths):
-        writer.write_flags(BitReader(section).read_flags(bits))
-    return writer.getvalue()
-
-
-def _split_sections(payload: bytes, widths: list[int]) -> list[bytes]:
-    """Inverse of :func:`_join_sections`."""
-    reader = BitReader(payload)
-    sections = []
-    for bits in widths:
-        writer = BitWriter()
-        writer.write_flags(reader.read_flags(bits))
-        sections.append(writer.getvalue())
-    return sections
-
-
 def _run_subphase(
     channel: SimulatedChannel,
     lanes: "list[tuple[CoreSyncSession, list[HashAssignment], list[HashAssignment]]]",
@@ -250,61 +239,68 @@ def _run_subphase(
     """One hash message + candidate bitmap + verification exchange.
 
     Each lane is one session's ``(session, server_plan, client_plan)``;
-    each message concatenates the lanes' sections in lane order (a lane
-    with an empty plan contributes zero bits), and the sub-phase is
-    skipped when every plan is empty.  Credits each session's
-    continuation counters and trace itself and returns the sums
-    ``(continuation_candidates, continuation_accepted, traces)``.
+    each message joins the lanes' sections (a lane with an empty plan
+    takes no part), and the sub-phase is skipped when every plan is
+    empty.  Credits each session's continuation counters and trace
+    itself and returns the sums ``(continuation_candidates,
+    continuation_accepted, traces)``.
     """
     for _session, server_plan, client_plan in lanes:
         _check_plans_match(server_plan, client_plan)
     if not any(server_plan for _session, server_plan, _c in lanes):
         return (0, 0, [])
     vectorized = lanes[0][0].engine == "vectorized"
+    ledgers = [session.channel for session, _s, _c in lanes]
 
-    widths = [
-        sum(a.transmitted_bits for a in server_plan)
-        for _session, server_plan, _c in lanes
-    ]
-    payload = _join_sections(
-        [session.server.emit_hashes(plan) for session, plan, _c in lanes], widths
-    )
-    channel.send(
-        Direction.SERVER_TO_CLIENT, payload, PHASE_MAP, bits=sum(widths)
-    )
-    sections = _split_sections(channel.receive(Direction.SERVER_TO_CLIENT), widths)
-    candidates_by_lane = [
-        session.client.process_hashes(client_plan, section)
-        for (session, _s, client_plan), section in zip(lanes, sections)
-    ]
-
-    bitmap = BitWriter()
-    if vectorized:
-        bitmap.write_flags(
-            [
-                candidate is not None
-                for candidates_by_plan in candidates_by_lane
-                for candidate in candidates_by_plan
-            ]
-        )
-    else:
-        for candidates_by_plan in candidates_by_lane:
-            for candidate in candidates_by_plan:
-                bitmap.write_bit(candidate is not None)
-    channel.send(
-        Direction.CLIENT_TO_SERVER,
-        bitmap.getvalue(),
+    hashes = exchange(
+        channel,
+        Direction.SERVER_TO_CLIENT,
         PHASE_MAP,
-        bits=bitmap.bit_length,
+        ledgers,
+        [
+            (
+                session.server.emit_hashes(plan),
+                sum(a.transmitted_bits for a in plan),
+            )
+            if plan
+            else None
+            for session, plan, _c in lanes
+        ],
     )
-    reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-    verify_lanes = []
-    for (session, server_plan, _c), candidates_by_plan in zip(
+    candidates_by_lane = [
+        [] if section is None else session.client.process_hashes(client_plan, section)
+        for (session, _s, client_plan), section in zip(lanes, hashes)
+    ]
+
+    bitmaps: list[tuple[bytes, int] | None] = []
+    for (_session, server_plan, _c), candidates_by_plan in zip(
         lanes, candidates_by_lane
     ):
+        if not server_plan:
+            bitmaps.append(None)
+            continue
+        bitmap = BitWriter()
         if vectorized:
-            server_flags = reader.read_flags(len(server_plan)).tolist()
+            bitmap.write_flags(
+                [candidate is not None for candidate in candidates_by_plan]
+            )
         else:
+            for candidate in candidates_by_plan:
+                bitmap.write_bit(candidate is not None)
+        bitmaps.append((bitmap.getvalue(), bitmap.bit_length))
+    flagged = exchange(
+        channel, Direction.CLIENT_TO_SERVER, PHASE_MAP, ledgers, bitmaps
+    )
+    verify_lanes = []
+    for (session, server_plan, _c), candidates_by_plan, section in zip(
+        lanes, candidates_by_lane, flagged
+    ):
+        if section is None:
+            server_flags = []
+        elif vectorized:
+            server_flags = BitReader(section).read_flags(len(server_plan)).tolist()
+        else:
+            reader = BitReader(section)
             server_flags = [bool(reader.read_bit()) for _ in server_plan]
         verify_lanes.append(
             (
@@ -318,13 +314,13 @@ def _run_subphase(
                 ],
             )
         )
-    verified = run_verification(channel, verify_lanes)
+    verified = run_verification(channel, verify_lanes, ledgers)
 
     total_candidates = total_accepted = 0
     traces: list[SubphaseTrace] = []
     for (session, server_plan, client_plan), candidates_by_plan, (
         accepted_candidates, accepted_blocks, verification_bits
-    ), width in zip(lanes, candidates_by_lane, verified, widths):
+    ) in zip(lanes, candidates_by_lane, verified):
         session.client.record_accepted(accepted_candidates)
         for block in accepted_blocks:
             session.server.tracker.record_match(block)
@@ -364,7 +360,7 @@ def _run_subphase(
                 round_index=session.rounds,
                 block_length=max(a.block.length for a in server_plan),
                 hash_counts=hash_counts,
-                hash_bits_sent=width,
+                hash_bits_sent=sum(a.transmitted_bits for a in server_plan),
                 candidates=sum(c is not None for c in candidates_by_plan),
                 accepted=len(accepted_candidates),
                 verification_bits=verification_bits,
@@ -438,7 +434,7 @@ def run_round(
                     session.continuation_candidates,
                     session.continuation_accepted,
                 ),
-                channel.stats,
+                session.channel.stats,
             )
         if not more_server:
             session._no_more = True
@@ -451,14 +447,19 @@ class CoreSyncSession:
     (:meth:`start`), one map-construction round per :meth:`step_round`,
     and the refinement/delta/fallback endgame (:meth:`finish`) — with
     the exact send/receive sequence of the former run-to-completion
-    loop, so the sequential driver below stays byte-identical and the
-    pipelined collection scheduler can interleave many sessions' rounds
-    over one shared channel.
+    loop, so the sequential driver below stays byte-identical.
+
+    The lane functions :meth:`start_lanes`, :func:`run_round` and
+    :meth:`finish_lanes` run a cohort of sessions on one shared channel
+    (:func:`~repro.net.lanes.run_lanes`): :func:`synchronize_batch
+    <repro.core.batch.synchronize_batch>` and pipelined collection sync.
+    ``channel`` is the session's accounting channel — the channel given
+    to :meth:`start`, or the lane channel a cohort driver assigns.
 
     Round checkpoints (``checkpointer``) use the same
-    :func:`~repro.core.snapshot.snapshot_round_state` payloads as
-    before, so checkpoints stay interchangeable between schedulers and
-    engines.
+    :func:`~repro.core.snapshot.snapshot_round_state` payloads under
+    every driver, so checkpoints stay interchangeable between schedulers
+    and engines.
     """
 
     def __init__(
@@ -476,6 +477,7 @@ class CoreSyncSession:
         self.engine = resolve_engine(engine)
         self.server = ServerSession(server_data, self.config, engine=self.engine)
         self.client = ClientSession(client_data, self.config, engine=self.engine)
+        self.channel: SimulatedChannel | None = None
         self.rounds = 0
         self.unchanged = False
         self.continuation_candidates = 0
@@ -487,6 +489,7 @@ class CoreSyncSession:
     # ------------------------------------------------------------------
     def start(self, channel: SimulatedChannel, resume_from=None) -> None:
         """Run the handshake, or restore a checkpointed round boundary."""
+        self.channel = channel
         if resume_from is not None:
             from repro.core.snapshot import restore_round_state
 
@@ -511,11 +514,8 @@ class CoreSyncSession:
                 ).read_uvarint()
             )
 
-            hello = BitWriter()
-            hello.write_bytes(self.server.fingerprint())
-            hello.write_uvarint(len(self.server_data))
             channel.send(
-                Direction.SERVER_TO_CLIENT, hello.getvalue(), PHASE_HANDSHAKE
+                Direction.SERVER_TO_CLIENT, self._hello(), PHASE_HANDSHAKE
             )
             self.accept_hello(BitReader(channel.receive(Direction.SERVER_TO_CLIENT)))
 
@@ -530,6 +530,13 @@ class CoreSyncSession:
             assert self.server.global_bits is not None
         self._started = True
 
+    def _hello(self) -> bytes:
+        """Server side of the hello: fingerprint and file length."""
+        hello = BitWriter()
+        hello.write_bytes(self.server.fingerprint())
+        hello.write_uvarint(len(self.server_data))
+        return hello.getvalue()
+
     def accept_hello(self, hello: BitReader) -> bool:
         """Client side of the server hello (fingerprint, length).
 
@@ -541,6 +548,39 @@ class CoreSyncSession:
         )
         self._started = True
         return self.unchanged
+
+    @staticmethod
+    def start_lanes(
+        channel: SimulatedChannel, sessions: "list[CoreSyncSession]"
+    ) -> None:
+        """Combined handshake: the client lengths, the server hellos and
+        the proceed flags each travel as one joined message.  Sessions
+        already started (resumed from a checkpoint) take no part."""
+        fresh = [session for session in sessions if not session._started]
+        ledgers = [session.channel for session in fresh]
+        requests = []
+        for session in fresh:
+            request = BitWriter()
+            request.write_uvarint(len(session.client_data))
+            requests.append((request.getvalue(), request.bit_length))
+        for session, request in zip(
+            fresh,
+            exchange(
+                channel, Direction.CLIENT_TO_SERVER, PHASE_HANDSHAKE,
+                ledgers, requests,
+            ),
+        ):
+            session.server.set_client_length(BitReader(request).read_uvarint())
+        hellos = exchange(
+            channel, Direction.SERVER_TO_CLIENT, PHASE_HANDSHAKE, ledgers,
+            [(hello, 8 * len(hello)) for hello in map(CoreSyncSession._hello, fresh)],
+        )
+        for session, hello in zip(fresh, hellos):
+            session.accept_hello(BitReader(hello))
+        exchange(
+            channel, Direction.CLIENT_TO_SERVER, PHASE_HANDSHAKE, ledgers,
+            [(bytes([not session.unchanged]), 1) for session in fresh],
+        )
 
     @property
     def done(self) -> bool:
@@ -567,20 +607,14 @@ class CoreSyncSession:
         """Execute exactly one map-construction round, checkpoint included."""
         run_round(channel, [self])
 
+    #: The round lane function (module-level, shared with step_round).
+    run_round = staticmethod(run_round)
+
     # ------------------------------------------------------------------
     def finish(self, channel: SimulatedChannel) -> SyncResult:
         """Refinement, delta and the fingerprint-guarded endgame."""
         if self.unchanged:
-            return SyncResult(
-                reconstructed=self.client_data,
-                stats=channel.stats,
-                unchanged=True,
-                used_fallback=False,
-                matched_blocks=0,
-                known_fraction=1.0,
-                rounds=0,
-                trace=[],
-            )
+            return self._result(None, False)
         config = self.config
 
         # --- Boundary refinement (optional, §5.4) ----------------------
@@ -596,47 +630,120 @@ class CoreSyncSession:
             channel.receive(Direction.SERVER_TO_CLIENT)
         )
 
-        used_fallback = False
-        if reconstructed is None:
-            used_fallback = True
-            channel.send(
-                Direction.CLIENT_TO_SERVER, b"\x01", PHASE_FALLBACK, bits=1
-            )
-            channel.receive(Direction.CLIENT_TO_SERVER)
-            if config.collision_retries > 0:
-                # Repeat with an independent hash function (different
-                # substitution table); all bytes land on the same channel.
-                retry_config = config.with_overrides(
-                    hash_seed=config.hash_seed + 1,
-                    collision_retries=config.collision_retries - 1,
-                )
-                retry = synchronize(
-                    self.client_data,
-                    self.server_data,
-                    retry_config,
-                    channel,
-                    engine=self.engine,
-                )
-                retry.used_fallback = True
-                return retry
-            channel.send(
-                Direction.SERVER_TO_CLIENT,
-                zlib.compress(self.server_data, 9),
-                PHASE_FALLBACK,
-            )
-            reconstructed = zlib.decompress(
-                channel.receive(Direction.SERVER_TO_CLIENT)
-            )
-        else:
-            channel.send(
-                Direction.CLIENT_TO_SERVER, b"\x00", PHASE_FALLBACK, bits=1
-            )
-            channel.receive(Direction.CLIENT_TO_SERVER)
+        channel.send(
+            Direction.CLIENT_TO_SERVER,
+            b"\x01" if reconstructed is None else b"\x00",
+            PHASE_FALLBACK,
+            bits=1,
+        )
+        channel.receive(Direction.CLIENT_TO_SERVER)
+        if reconstructed is not None:
+            return self._result(reconstructed, False)
+        if config.collision_retries > 0:
+            return self._retry()
+        channel.send(
+            Direction.SERVER_TO_CLIENT,
+            zlib.compress(self.server_data, 9),
+            PHASE_FALLBACK,
+        )
+        return self._result(
+            zlib.decompress(channel.receive(Direction.SERVER_TO_CLIENT)), True
+        )
 
+    @staticmethod
+    def finish_lanes(
+        channel: SimulatedChannel, sessions: "list[CoreSyncSession]"
+    ) -> list[SyncResult]:
+        """Combined endgame: boundary refinement lane by lane, one joined
+        message of length-prefixed deltas, one of NACK flags, then any
+        collision retries lane by lane and one joined message of
+        length-prefixed fallback payloads."""
+        active = [session for session in sessions if not session.unchanged]
+        if active and active[0].config.refine_boundaries:
+            from repro.core.refine import run_boundary_refinement
+
+            for session in active:
+                run_boundary_refinement(
+                    session.channel, session.client, session.server
+                )
+        ledgers = [session.channel for session in active]
+        deltas = exchange(
+            channel, Direction.SERVER_TO_CLIENT, PHASE_DELTA, ledgers,
+            [
+                (delta, 8 * len(delta))
+                for delta in (session.server.emit_delta() for session in active)
+            ],
+            prefixed=True,
+        )
+        reconstructed = {
+            session: session.client.apply_delta(delta)
+            for session, delta in zip(active, deltas)
+        }
+        exchange(
+            channel, Direction.CLIENT_TO_SERVER, PHASE_FALLBACK, ledgers,
+            [(bytes([reconstructed[session] is None]), 1) for session in active],
+        )
+        failed = [session for session in active if reconstructed[session] is None]
+        retried = {
+            session: session._retry()
+            for session in failed
+            if session.config.collision_retries > 0
+        }
+        fallback = [session for session in failed if session not in retried]
+        payloads = exchange(
+            channel, Direction.SERVER_TO_CLIENT, PHASE_FALLBACK,
+            [session.channel for session in fallback],
+            [
+                (payload, 8 * len(payload))
+                for payload in (
+                    zlib.compress(session.server_data, 9) for session in fallback
+                )
+            ],
+            prefixed=True,
+        )
+        for session, payload in zip(fallback, payloads):
+            reconstructed[session] = zlib.decompress(payload)
+        return [
+            retried[session]
+            if session in retried
+            else session._result(reconstructed.get(session), session in fallback)
+            for session in sessions
+        ]
+
+    def _retry(self) -> SyncResult:
+        """Repeat the whole exchange with an independent hash function
+        (a different substitution table); all bytes land on this
+        session's channel."""
+        config = self.config
+        retry = synchronize(
+            self.client_data,
+            self.server_data,
+            config.with_overrides(
+                hash_seed=config.hash_seed + 1,
+                collision_retries=config.collision_retries - 1,
+            ),
+            self.channel,
+            engine=self.engine,
+        )
+        retry.used_fallback = True
+        return retry
+
+    def _result(self, reconstructed: bytes | None, used_fallback: bool) -> SyncResult:
+        if self.unchanged:
+            return SyncResult(
+                reconstructed=self.client_data,
+                stats=self.channel.stats,
+                unchanged=True,
+                used_fallback=False,
+                matched_blocks=0,
+                known_fraction=1.0,
+                rounds=0,
+                trace=[],
+            )
         file_map = self.client._require_map()
         return SyncResult(
             reconstructed=reconstructed,
-            stats=channel.stats,
+            stats=self.channel.stats,
             unchanged=False,
             used_fallback=used_fallback,
             matched_blocks=len(file_map),
@@ -678,9 +785,9 @@ def synchronize(
     checkpoints, so a resumed run may use a different engine than the one
     that crashed.
 
-    This is the sequential driver over :class:`CoreSyncSession`; the
-    pipelined collection scheduler drives the same state machine with
-    the rounds of many files interleaved.
+    This is the one-lane driver over :class:`CoreSyncSession`; pipelined
+    collection sync runs the same sessions in cohorts through the lane
+    functions.
     """
     if channel is None:
         channel = SimulatedChannel()

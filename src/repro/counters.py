@@ -101,7 +101,6 @@ COUNTERS: tuple[Counter, ...] = (
     # Wire latency and pipelining (DESIGN §16).
     Counter("pipelined"),
     Counter("waves"),
-    Counter("mux_overhead_bytes"),
     Counter("roundtrips_on_wire"),
     Counter("link_wall_clock_s", digits=4),
     # Cross-file reuse (DESIGN §17).

@@ -21,15 +21,7 @@ from repro.net.chaos import (
     chaos_plan,
 )
 from repro.net.faults import FaultEvent, FaultKind, FaultPlan, FaultyChannel
-from repro.net.frame import (
-    FRAME_OVERHEAD,
-    MuxSubframe,
-    decode_frame,
-    decode_mux_batch,
-    encode_frame,
-    encode_mux_batch,
-    mux_overhead_bytes,
-)
+from repro.net.frame import FRAME_OVERHEAD, decode_frame, encode_frame
 from repro.net.metrics import TransferStats
 
 __all__ = [
@@ -42,14 +34,10 @@ __all__ = [
     "FaultPlan",
     "FaultyChannel",
     "LinkModel",
-    "MuxSubframe",
     "ScheduledFaultPlan",
     "SimulatedChannel",
     "TransferStats",
     "chaos_plan",
     "decode_frame",
-    "decode_mux_batch",
     "encode_frame",
-    "encode_mux_batch",
-    "mux_overhead_bytes",
 ]

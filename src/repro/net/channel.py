@@ -33,7 +33,7 @@ class LinkModel:
     uplink_bps: float | None = None
 
     def __post_init__(self) -> None:
-        # Fail at construction, not lazily inside transfer_time*: a link
+        # Fail at construction, not lazily inside transfer_seconds: a link
         # built from bad config should be rejected before any protocol
         # charges wall-clock estimates against it.
         if self.bandwidth_bps <= 0:
@@ -53,39 +53,21 @@ class LinkModel:
     def effective_uplink_bps(self) -> float:
         return self.uplink_bps if self.uplink_bps is not None else self.bandwidth_bps
 
-    def transfer_time(self, total_bytes: int, roundtrips: int) -> float:
-        """Estimated wall-clock seconds to move ``total_bytes`` downlink."""
-        serialization = 8.0 * total_bytes / self.bandwidth_bps
-        propagation = 2.0 * self.latency_s * roundtrips
-        return serialization + propagation
-
-    def transfer_time_directional(
-        self,
-        client_to_server_bytes: int,
-        server_to_client_bytes: int,
-        roundtrips: int,
-    ) -> float:
-        """Wall-clock estimate with per-direction bandwidths."""
-        up = 8.0 * client_to_server_bytes / self.effective_uplink_bps
-        down = 8.0 * server_to_client_bytes / self.bandwidth_bps
-        propagation = 2.0 * self.latency_s * roundtrips
-        return up + down + propagation
-
     def transfer_seconds(
         self,
         client_to_server_bytes,
         server_to_client_bytes,
         roundtrips,
     ) -> float:
-        """Accumulating wall-clock estimate over per-item counters.
+        """Wall-clock estimate: serialization at each direction's
+        bandwidth plus propagation per counted roundtrip.
 
-        The vectorized sibling of :meth:`transfer_time_directional`:
-        each argument may be a scalar or a sequence/array of per-file
-        (or per-wave) counters, broadcast against each other; the return
-        value is the summed wall-clock estimate.  This is the one
-        formula the pipelined scheduler and the collection reports
-        share, so ``link_wall_clock_s`` means the same thing wherever it
-        appears.
+        The one link-cost formula: each argument may be a scalar or a
+        sequence/array of per-file counters, broadcast against each
+        other; the return value is the summed wall-clock estimate.  Every
+        caller (collection reports, the supervisor, benchmarks) prices
+        the link here, so ``link_wall_clock_s`` means the same thing
+        wherever it appears.
 
         Validation mirrors the constructor's: negative counters are a
         caller bug and are rejected eagerly, not folded into a
@@ -192,11 +174,3 @@ class SimulatedChannel:
     def pending(self, direction: Direction) -> int:
         """Number of undelivered messages in ``direction``."""
         return len(self._queues[direction])
-
-    def estimated_transfer_time(self) -> float:
-        """Wall-clock estimate for everything sent so far on this link."""
-        return self.link.transfer_time_directional(
-            self.stats.client_to_server_bytes,
-            self.stats.server_to_client_bytes,
-            self.stats.roundtrips,
-        )

@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 from repro.exceptions import FrameCorruptionError
-from repro.io.varint import decode_uvarint, encode_uvarint
 
 _HEADER = struct.Struct(">II")
 
@@ -58,102 +56,3 @@ def decode_frame(frame: bytes) -> bytes:
     if zlib.crc32(payload) != crc:
         raise FrameCorruptionError("frame payload fails its CRC32 check")
     return payload
-
-
-# ----------------------------------------------------------------------
-# Multiplexed sub-frames (the pipelined collection scheduler's wire unit)
-# ----------------------------------------------------------------------
-#
-# A pipelined collection drives many per-file sessions over ONE shared
-# channel, so each coalesced batch must say which file and which protocol
-# round every payload belongs to.  A batch is::
-#
-#     count (uvarint) | subframe | subframe | ...
-#
-# and each sub-frame::
-#
-#     stream_id (uvarint) | round (uvarint) | seq (uvarint)
-#     | bit_length (uvarint) | payload ((bit_length + 7) // 8 bytes)
-#
-# ``stream_id`` keys the file's lane, ``round`` the protocol round the
-# message belongs to, and ``seq`` the per-lane message serial — enough
-# for a receiver to demultiplex and re-order deterministically.  The
-# payload's byte length is derived from ``bit_length`` (the channel
-# enforces ``0 <= 8*len - bits < 8``), so no separate length field is
-# spent.  Like the CRC framing above, mux header bytes are *overhead*
-# around untouched protocol payloads: the scheduler accounts them
-# separately (``mux_overhead_bytes``) instead of charging them to any
-# per-file phase bucket.
-
-
-@dataclass(frozen=True)
-class MuxSubframe:
-    """One demultiplexed message of a coalesced batch."""
-
-    stream_id: int
-    round_index: int
-    seq: int
-    bit_length: int
-    payload: bytes
-
-
-def encode_mux_batch(subframes: list[MuxSubframe]) -> bytes:
-    """Pack sub-frames into one batch payload."""
-    out = bytearray()
-    out += encode_uvarint(len(subframes))
-    for sub in subframes:
-        if (len(sub.payload) * 8 - sub.bit_length) not in range(8):
-            raise ValueError(
-                f"bit_length={sub.bit_length} inconsistent with a "
-                f"{len(sub.payload)}-byte payload"
-            )
-        out += encode_uvarint(sub.stream_id)
-        out += encode_uvarint(sub.round_index)
-        out += encode_uvarint(sub.seq)
-        out += encode_uvarint(sub.bit_length)
-        out += sub.payload
-    return bytes(out)
-
-
-def decode_mux_batch(batch: bytes) -> list[MuxSubframe]:
-    """Inverse of :func:`encode_mux_batch`.
-
-    Raises :class:`FrameCorruptionError` on truncation or trailing
-    garbage — a mangled batch must never demultiplex silently.
-    """
-    try:
-        count, offset = decode_uvarint(batch, 0)
-        subframes: list[MuxSubframe] = []
-        for _ in range(count):
-            stream_id, offset = decode_uvarint(batch, offset)
-            round_index, offset = decode_uvarint(batch, offset)
-            seq, offset = decode_uvarint(batch, offset)
-            bit_length, offset = decode_uvarint(batch, offset)
-            length = (bit_length + 7) // 8
-            if offset + length > len(batch):
-                raise FrameCorruptionError(
-                    f"mux sub-frame announces {length} payload bytes but "
-                    f"only {len(batch) - offset} remain"
-                )
-            subframes.append(
-                MuxSubframe(
-                    stream_id,
-                    round_index,
-                    seq,
-                    bit_length,
-                    batch[offset : offset + length],
-                )
-            )
-            offset += length
-    except (IndexError, ValueError) as error:
-        raise FrameCorruptionError(f"undecodable mux batch: {error}") from error
-    if offset != len(batch):
-        raise FrameCorruptionError(
-            f"mux batch carries {len(batch) - offset} trailing bytes"
-        )
-    return subframes
-
-
-def mux_overhead_bytes(batch: bytes, subframes: list[MuxSubframe]) -> int:
-    """Header bytes the batch spends beyond its protocol payloads."""
-    return len(batch) - sum(len(sub.payload) for sub in subframes)

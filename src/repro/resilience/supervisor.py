@@ -106,6 +106,16 @@ def default_ladder(primary: SyncMethod) -> list[SyncMethod]:
     return [rung for rung in ladder if rung.name != primary.name]
 
 
+def _link_seconds(channel: SimulatedChannel) -> float:
+    """Modelled wall clock of everything ``channel`` carried so far."""
+    stats = channel.stats
+    return channel.link.transfer_seconds(
+        stats.client_to_server_bytes,
+        stats.server_to_client_bytes,
+        stats.roundtrips,
+    )
+
+
 def _waste_after(
     channel: SimulatedChannel, head: "RoundCheckpoint | None"
 ) -> tuple[int, float]:
@@ -120,7 +130,7 @@ def _waste_after(
     if head is None:
         return (
             stats.total_bytes + stats.retransmitted_bytes,
-            channel.estimated_transfer_time(),
+            _link_seconds(channel),
         )
     c2s = max(
         0,
@@ -135,7 +145,7 @@ def _waste_after(
     roundtrips = max(0, stats.roundtrips - head.roundtrips)
     return (
         c2s + s2c + stats.retransmitted_bytes,
-        channel.link.transfer_time_directional(c2s, s2c, roundtrips),
+        channel.link.transfer_seconds(c2s, s2c, roundtrips),
     )
 
 
@@ -409,7 +419,7 @@ class SyncSupervisor(SyncMethod):
                         break
                     continue
                 # --- success ------------------------------------------
-                charge(channel.estimated_transfer_time())
+                charge(_link_seconds(channel))
                 if breaker is not None:
                     breaker.record_success(self.breakers.clock)
                 if resume_state is not None:
@@ -458,7 +468,7 @@ class SyncSupervisor(SyncMethod):
                 if head is not None:
                     link = self.link or LinkModel()
                     retransmitted_bytes += head.total_bytes
-                    abandoned_seconds = link.transfer_time_directional(
+                    abandoned_seconds = link.transfer_seconds(
                         head.bytes_in_direction(Direction.CLIENT_TO_SERVER),
                         head.bytes_in_direction(Direction.SERVER_TO_CLIENT),
                         head.roundtrips,

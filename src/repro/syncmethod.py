@@ -94,8 +94,8 @@ def wire_outcome(result, new: bytes) -> MethodOutcome:
     compatible.  A protocol-internal full-transfer fallback reclassifies
     its traffic into ``stats.retransmitted_bits``, which must survive
     the flattening even without a supervisor around.  Lives here (not in
-    ``bench.methods``) so the pipelined collection scheduler can account
-    per-file sessions without importing the benchmark harness.
+    ``bench.methods``) so pipelined collection sync can account per-file
+    sessions without importing the benchmark harness.
     """
     return MethodOutcome(
         total_bytes=result.total_bytes,
@@ -128,9 +128,10 @@ class SyncMethod(ABC):
     #: back to ``None`` or ``False``.
     supports_pickle: bool | None = None
     #: True for methods whose protocol is factored into a resumable
-    #: step-wise session (``start``/``done``/``step_round``/``finish``)
-    #: that the pipelined collection scheduler can drive round-by-round;
-    #: they then also implement :meth:`open_session`.
+    #: step-wise session whose class carries the lane functions
+    #: (:mod:`repro.net.lanes`), so pipelined collection sync can run
+    #: many files' sessions in cohorts on one channel; they then also
+    #: implement :meth:`open_session`.
     supports_pipeline: bool = False
 
     @abstractmethod
@@ -143,9 +144,10 @@ class SyncMethod(ABC):
         Only meaningful when ``supports_pipeline`` is true.  The returned
         object exposes ``start(channel, resume_from=None)``, ``done``,
         ``step_round(channel)`` and ``finish(channel)`` with the exact
-        wire traffic of the run-to-completion path, so a scheduler can
-        interleave many files' rounds while keeping each file's
-        transcript byte-identical to a sequential run.
+        wire traffic of the run-to-completion path, and its class the
+        lane functions ``start_lanes``, ``run_round`` and
+        ``finish_lanes`` that run a cohort of such sessions on one
+        shared channel, each charged its file's one-file transcript.
         """
         raise NotImplementedError(
             f"{self.name} does not support pipelined scheduling"

@@ -57,51 +57,54 @@ class TestSyncCollection:
 
 
 class TestBatchedCollectionSync:
-    def test_reconstruction(self, tree):
-        from repro.collection import sync_collection_batched
+    """Batched mode: pipelined sync with one cohort of every file."""
 
-        report = sync_collection_batched(tree.old, tree.new)
+    @staticmethod
+    def batched(old, new, method=None):
+        return sync_collection(
+            old, new, method or OursMethod(),
+            pipeline=True, window=max(len(new), 1),
+        )
+
+    def test_reconstruction(self, tree):
+        report = self.batched(tree.old, tree.new)
         assert report.reconstructed == tree.new
-        assert report.method == "ours-batched"
+        assert report.method == "ours"
+        assert report.pipelined
 
     def test_totals_consistent(self, tree):
-        from repro.collection import sync_collection_batched
-
-        report = sync_collection_batched(tree.old, tree.new)
+        report = self.batched(tree.old, tree.new)
         summary = report.summary()
         assert summary["total"] == (
             summary["manifest"] + summary["changed"] + summary["added"]
         )
 
     def test_comparable_bytes_to_per_file_mode(self, tree):
-        from repro.collection import sync_collection_batched
-
-        batched = sync_collection_batched(tree.old, tree.new)
+        batched = self.batched(tree.old, tree.new)
         per_file = sync_collection(tree.old, tree.new, OursMethod())
         assert batched.total_bytes <= per_file.total_bytes * 1.05
 
     def test_config_respected(self, tree):
-        from repro.collection import sync_collection_batched
         from repro.core import ProtocolConfig
 
-        report = sync_collection_batched(
-            tree.old, tree.new, ProtocolConfig(max_rounds=2)
+        report = self.batched(
+            tree.old, tree.new, OursMethod(ProtocolConfig(max_rounds=2))
         )
         assert report.reconstructed == tree.new
 
     def test_link_latency_from_the_shared_channel(self):
-        from repro.collection import sync_collection_batched
         from repro.core import synchronize_batch
         from repro.net import LinkModel
 
         tree = gcc_like(scale=0.08, seed=6)
-        report = sync_collection_batched(tree.old, tree.new)
+        report = self.batched(tree.old, tree.new)
         changed = report.diff.changed
         batch = synchronize_batch(
             {n: tree.old[n] for n in changed}, {n: tree.new[n] for n in changed}
         )
-        assert report.per_file["<batch>"].roundtrips == batch.roundtrips > 0
-        assert report.roundtrips_on_wire == batch.roundtrips
+        # The one cohort puts exactly synchronize_batch's traffic on the
+        # shared link.
+        assert report.roundtrips_on_wire == batch.roundtrips == 81
         assert report.link_wall_clock_s == pytest.approx(
             LinkModel().transfer_seconds(
                 batch.stats.client_to_server_bytes,

@@ -42,7 +42,7 @@ COUNTER_COLUMNS = [
     "rounds_salvaged", "resume_handshake_bits", "checkpoint_bytes_written",
     "health_score", "breaker_opens", "deadline_salvages",
     "adaptive_backoff_s", "collisions_detected", "repair_rounds",
-    "repair_bytes", "pipelined", "waves", "mux_overhead_bytes",
+    "repair_bytes", "pipelined", "waves",
     "roundtrips_on_wire", "link_wall_clock_s", "dedup_hits",
     "delta_memo_hits", "delta_memo_misses", "sibling_refs_used",
     "bytes_saved_vs_self_ref",
@@ -67,7 +67,7 @@ JSON_KEYS = [
     "checkpoint_bytes_written", "health_score", "breaker_opens",
     "deadline_salvages", "adaptive_backoff_s", "collisions_detected",
     "repair_rounds", "repair_bytes", "pipelined", "waves",
-    "mux_overhead_bytes", "roundtrips_on_wire", "link_wall_clock_s",
+    "roundtrips_on_wire", "link_wall_clock_s",
     "dedup_hits", "delta_memo_hits", "delta_memo_misses",
     "sibling_refs_used", "bytes_saved_vs_self_ref",
 ]
@@ -78,7 +78,7 @@ _COMMON = {
     "arena_used": False, "arena_bytes": 0, "failed_files": 0,
     "breaker_opens": 0, "deadline_salvages": 0, "collisions_detected": 0,
     "repair_rounds": 0, "repair_bytes": 0, "pipelined": False, "waves": 0,
-    "mux_overhead_bytes": 0, "dedup_hits": 0, "sibling_refs_used": 0,
+    "dedup_hits": 0, "sibling_refs_used": 0,
     "bytes_saved_vs_self_ref": 0,
 }
 CLEAN_VALUES = {

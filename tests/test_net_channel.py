@@ -68,13 +68,18 @@ class TestLinkModel:
     def test_transfer_time_components(self):
         link = LinkModel(bandwidth_bps=8000.0, latency_s=0.5)
         # 1000 bytes = 8000 bits = 1 s serialisation; 2 roundtrips = 2 s.
-        assert link.transfer_time(1000, 2) == pytest.approx(3.0)
+        assert link.transfer_seconds(0, 1000, 2) == pytest.approx(3.0)
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            LinkModel(bandwidth_bps=0).transfer_time(1, 1)
+            LinkModel(bandwidth_bps=0).transfer_seconds(0, 1, 1)
 
     def test_channel_estimate_uses_link(self):
         channel = SimulatedChannel(LinkModel(bandwidth_bps=8000.0, latency_s=0.0))
         channel.send(Direction.CLIENT_TO_SERVER, b"x" * 1000, "map")
-        assert channel.estimated_transfer_time() == pytest.approx(1.0)
+        stats = channel.stats
+        assert channel.link.transfer_seconds(
+            stats.client_to_server_bytes,
+            stats.server_to_client_bytes,
+            stats.roundtrips,
+        ) == pytest.approx(1.0)

@@ -49,10 +49,10 @@ op                        ms (best)  MB/s  payload KB  rounds
 protocol_sync_scalar         1971.1   0.3         588       1
 protocol_sync_vectorized     9643.5   1.0       9,312       1""",
     "pipeline": """\
-perf baseline — 64 files × 24 KB; pipelined wall clock 6.40x over sequential
+perf baseline — 64 files × 24 KB; pipelined wall clock 7.34x over sequential
 op                     ms (best)  MB/s  payload KB  rounds
 ---------------------  ---------  ----  ----------  ------
-collection_pipelined    197023.9   0.0       1,560     653
+collection_pipelined    171605.2   0.0       1,560     569
 collection_sequential  1260305.5   0.0       1,560    4198""",
     "reuse": """\
 perf baseline — 12 files × 24 KB; warm memo serve 83.14x over cold; sibling refs save 80.9% of fleet wire bytes
