@@ -6,8 +6,21 @@ import pytest
 
 from repro.core import ProtocolConfig, synchronize, synchronize_batch
 from repro.net import SimulatedChannel
+from repro.net.metrics import Direction
 from repro.workloads import gcc_like, make_web_collection
 from tests.conftest import make_version_pair
+
+
+class _TranscriptChannel(SimulatedChannel):
+    """Keeps every ``(direction, phase, bits, payload)`` sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent: list[tuple] = []
+
+    def send(self, direction, payload, phase, bits=None):
+        self.sent.append((direction, phase, bits, payload))
+        super().send(direction, payload, phase, bits=bits)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +49,32 @@ class TestCorrectness:
         report = synchronize_batch({}, {})
         assert report.reconstructed == {}
         assert report.rounds == 0
+
+    def test_empty_batch_sends_nothing(self):
+        # A message no lane takes part in is not sent.
+        channel = _TranscriptChannel()
+        report = synchronize_batch({}, {}, channel=channel)
+        assert channel.sent == []
+        assert (report.stats.messages, report.roundtrips) == (0, 0)
+
+    def test_identical_batch_sends_only_the_handshake(self):
+        # Every lane stops at its proceed bit, so the delta and NACK
+        # messages have no lane and are not sent.
+        files = {"a": b"alpha" * 300, "b": b"", "c": bytes(range(256)) * 9}
+        channel = _TranscriptChannel()
+        report = synchronize_batch(files, dict(files), channel=channel)
+        assert report.reconstructed == files
+        assert report.unchanged_files == sorted(files)
+        assert report.rounds == 0
+        # Client lengths (uvarints of 2 + 1 + 2 bytes), server hellos
+        # (16-byte fingerprint + length uvarint each), one proceed bit
+        # per lane, all clear.
+        assert [sent[:3] for sent in channel.sent] == [
+            (Direction.CLIENT_TO_SERVER, "handshake", 40),
+            (Direction.SERVER_TO_CLIENT, "handshake", 424),
+            (Direction.CLIENT_TO_SERVER, "handshake", 3),
+        ]
+        assert channel.sent[-1][3] == b"\x00"
 
     def test_single_file_matches_protocol(self):
         old, new = make_version_pair(seed=600, nbytes=12000)
