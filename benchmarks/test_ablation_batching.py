@@ -82,7 +82,7 @@ def test_ablation_batching(benchmark, web_collection):
     benchmark.pedantic(
         sync_collection,
         args=(base, target, OursMethod()),
-        kwargs={"pipeline": True, "window": len(target)},
+        kwargs={"window": len(target)},
         iterations=1,
         rounds=1,
     )

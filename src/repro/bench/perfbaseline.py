@@ -455,8 +455,8 @@ def _measure_pipeline(
 
     Runs the same seeded workload through
     :func:`~repro.collection.sync.sync_collection` twice with the
-    paper's protocol — sequentially and pipelined with ``window`` files
-    in flight — over a ``latency_ms`` one-way-delay link (150 ms = a
+    paper's protocol — file by file and in cohorts of ``window`` files
+    — over a ``latency_ms`` one-way-delay link (150 ms = a
     300 ms-RTT slow network).  Each op records the *modelled* link wall
     clock as its timing and the wire direction reversals as its round
     count, so the record is fully deterministic: byte counts and
@@ -482,12 +482,7 @@ def _measure_pipeline(
     )
 
     pipelined = sync_collection(
-        old_side,
-        new_side,
-        OursMethod(),
-        link=link,
-        pipeline=True,
-        window=window,
+        old_side, new_side, OursMethod(), link=link, window=window
     )
     ops["collection_pipelined"] = OpTiming(
         "collection_pipelined",

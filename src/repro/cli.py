@@ -122,21 +122,15 @@ def _cmd_sync(args: argparse.Namespace) -> int:
     if args.batched:
         if args.window is not None:
             print("error: --batched sets the window to the number of files; "
-                  "use --pipeline --window N for smaller cohorts",
-                  file=sys.stderr)
+                  "use --window N for smaller cohorts", file=sys.stderr)
             return 2
         # One cohort: every changed file shares every message.
-        args.pipeline = True
         args.window = max(len(new_side), 1)
-    elif args.window is None:
-        args.window = SyncOptions.window
     method: SyncMethod = _METHOD_FACTORIES[args.method](args)
     options = dict(
         workers=args.workers or None,
         use_arena=args.arena,
-        # Default: rescue with a full transfer; pipelined runs support
-        # only aborting, so any explicit other choice there is refused.
-        on_error=args.on_error or ("raise" if args.pipeline else "fallback"),
+        on_error=args.on_error,
         fault_plan=fault_plan,
         retry_policy=_retry_policy_from_args(args),
         checkpoint_dir=args.checkpoint_dir,
@@ -146,8 +140,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         deadline_s=args.deadline,
         run_deadline_s=args.run_deadline,
         breaker_threshold=args.breaker_threshold,
-        pipeline=args.pipeline,
-        window=args.window,
+        window=args.window,  # None: cohorts of 8 wherever lanes can run
         delta_memo=args.delta_memo,
         sibling_refs=args.sibling_refs,
         resemblance_threshold=args.resemblance_threshold,
@@ -618,17 +611,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "zero-copy shared-memory arena (default: auto "
                            "when available; --no-arena forces pickling)")
     sync.add_argument("--batched", action="store_true",
-                      help="alias for --pipeline --window <number of "
-                           "files>: every changed file shares every "
-                           "roundtrip")
-    sync.add_argument("--pipeline", action="store_true",
-                      help="run the changed files in cohorts of --window, "
-                           "each cohort's messages joined on one channel, "
-                           "hiding link latency (only with --method "
-                           "ours/multiround)")
+                      help="alias for --window <number of files>: every "
+                           "changed file shares every roundtrip")
     sync.add_argument("--window", type=int, default=None,
-                      help="files per cohort under --pipeline "
-                           "(default 8; not with --batched)")
+                      help="run the changed files in cohorts of this many, "
+                           "each cohort's messages joined on one channel, "
+                           "hiding link latency; 1 = file by file (default "
+                           "8 with --method ours/multiround and no faults, "
+                           "retries, breakers, deadlines or --workers; "
+                           "else 1)")
     sync.add_argument("--delta-memo", action=argparse.BooleanOptionalAction,
                       default=None,
                       help="memoize delta instruction lists and payloads "
@@ -647,10 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     sync.add_argument("--fault-seed", type=int, default=0,
                       help="seed for the deterministic fault plan")
     sync.add_argument("--on-error", choices=("raise", "skip", "fallback"),
-                      default=None,
+                      default="fallback",
                       help="per-file error isolation: abort, keep the old "
                            "copy, or rescue with a full transfer (default: "
-                           "fallback; raise under --pipeline)")
+                           "fallback)")
     sync.add_argument("--retries", type=int, default=None,
                       help="retry attempts per ladder rung before "
                            "degrading (default: supervisor default of 3)")

@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 from repro.exceptions import ResumeRefusedError
 
-__all__ = ["SyncOptions"]
+__all__ = ["DEFAULT_WINDOW", "SyncOptions"]
+
+#: Files per cohort when ``window=None`` and the lane path can run.
+DEFAULT_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,13 @@ class SyncOptions:
     breakers or deadlines a file refused by its breaker or out of budget
     is recorded in ``report.failed`` even under ``on_error="raise"``.
 
-    Pipelined scheduling (DESIGN §16): ``pipeline`` runs the changed
-    files in cohorts of ``window``, each cohort's messages joined on one
+    Lane scheduling (DESIGN §16): ``window`` above 1 runs the changed
+    files in cohorts of that many, each cohort's messages joined on one
     shared channel, so link latency is paid per cohort round instead of
-    per file per round.  Per-file transcripts, byte accounting and
-    checkpoints stay bit-identical to the sequential run.
+    per file per round.  ``1`` runs file by file; ``None`` picks
+    :data:`DEFAULT_WINDOW` where :meth:`lane_refusal` allows cohorts and
+    1 elsewhere.  Per-file transcripts, byte accounting, checkpoints and
+    ``on_error`` settlement stay bit-identical to the file-by-file run.
 
     Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the delta-memo
     switch for the update (``None`` defers to ``REPRO_DELTA_MEMO``);
@@ -96,8 +101,7 @@ class SyncOptions:
     deadline_s: float | None = None
     run_deadline_s: float | None = None
     breaker_threshold: object = None
-    pipeline: bool = False
-    window: int = 8
+    window: int | None = 1
     delta_memo: bool | None = None
     sibling_refs: bool = False
     resemblance_threshold: float = 0.5
@@ -119,7 +123,7 @@ class SyncOptions:
                 f"change_detection must be 'manifest' or 'reconcile', "
                 f"got {self.change_detection!r}"
             )
-        if self.window < 1:
+        if self.window is not None and self.window < 1:
             raise ValueError(f"window must be at least 1, got {self.window}")
         if not 0.0 <= self.resemblance_threshold <= 1.0:  # NaN fails too
             raise ValueError(
@@ -131,39 +135,39 @@ class SyncOptions:
                 "resume=True needs a durable checkpoint location "
                 "(checkpoint_dir or a CheckpointStore with a root)"
             )
-        if self.pipeline:
-            self._validate_pipeline(method)
+        if (self.window or 1) > 1 and (refusal := self.lane_refusal(method)):
+            raise ValueError(refusal)
 
     def _durable_checkpoints(self) -> bool:
         if self.checkpoints is not None:
             return self.checkpoints.root is not None
         return self.checkpoint_dir is not None
 
-    def _validate_pipeline(self, method) -> None:
+    @property
+    def supervised(self) -> bool:
+        """Whether a resilience option asks for a per-file supervisor."""
+        return bool(self.adaptive_retry) or any(
+            option is not None
+            for option in (
+                self.fault_plan, self.retry_policy, self.breaker_threshold,
+                self.deadline_s, self.run_deadline_s,
+            )
+        )
+
+    def lane_refusal(self, method) -> str | None:
+        """Why ``method`` under these options cannot run in lane cohorts
+        (``None``: it can) — the one rule behind the default window, the
+        refusal of an explicit one and the supervised file-by-file path."""
         if not getattr(method, "supports_pipeline", False):
-            raise ValueError(
+            return (
                 f"method {method.name} does not support pipelined "
                 f"scheduling (no step-wise session)"
             )
-        if (
-            self.fault_plan is not None
-            or self.retry_policy is not None
-            or self.adaptive_retry
-            or self.breaker_threshold is not None
-            or self.deadline_s is not None
-            or self.run_deadline_s is not None
-        ):
-            raise ValueError(
-                "pipeline=True is incompatible with fault injection, "
-                "retries, breakers and deadlines — run those sequentially"
+        if self.supervised:
+            return (
+                "window > 1 is incompatible with fault injection, retries, "
+                "breakers and deadlines; run those with window=1"
             )
-        if self.on_error != "raise":
-            raise ValueError(
-                "pipeline=True is incompatible with on_error isolation; "
-                "use on_error='raise'"
-            )
-        if self.executor is not None:
-            raise ValueError(
-                "pipeline=True forces serial in-process execution; "
-                "drop executor="
-            )
+        if self.executor is not None or self.workers != 1:
+            return "window > 1 runs in one process; use workers=1 and no executor"
+        return None

@@ -9,9 +9,10 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
-from repro.collection.options import SyncOptions
+from repro.collection.options import DEFAULT_WINDOW, SyncOptions
 from repro.counters import COUNTERS, FILE
-from repro.exceptions import IntegrityError
+from repro.exceptions import IntegrityError, ReproError, SyncFailedError
+from repro.net.channel import LinkModel, SimulatedChannel
 from repro.parallel.executor import (
     CACHE_COUNTERS,
     FileTask,
@@ -136,21 +137,6 @@ class CollectionReport:
             "added": self.added_bytes,
             "total": self.total_bytes,
         }
-
-
-def _account_link(report: CollectionReport, link) -> None:
-    """Fill ``roundtrips_on_wire`` and ``link_wall_clock_s`` from the
-    per-file outcomes, modelled on ``link`` (default :class:`LinkModel`)."""
-    from repro.net.channel import LinkModel
-
-    outcomes = list(report.per_file.values())
-    report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
-    if outcomes:
-        report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
-            [o.client_to_server for o in outcomes],
-            [o.server_to_client for o in outcomes],
-            [o.roundtrips for o in outcomes],
-        )
 
 
 def _detect_changes(client_files, server_files, method_name, opts):
@@ -291,15 +277,16 @@ def sync_collection(
     before any work starts.  Change detection is charged first;
     unchanged files cost nothing further, files only on the server are
     sent compressed (or served by sibling references), and changed files
-    go through the per-file method — sequentially or over a process pool
-    (results reassembled in manifest order, so the byte accounting is
-    identical), or pipelined: in cohorts of ``window`` files sharing every
-    message of one channel.
+    go through the per-file method — file by file, serially or over a
+    process pool (results reassembled in manifest order, so the byte
+    accounting is identical), or in cohorts of ``window`` files sharing
+    every message of one channel.
     """
     from repro.reuse.memo import delta_memo_scope
 
     opts = SyncOptions(**options)
     opts.validate(method)
+    window = opts.window or (1 if opts.lane_refusal(method) else DEFAULT_WINDOW)
     with delta_memo_scope(
         None if opts.delta_memo is None else bool(opts.delta_memo)
     ):
@@ -310,33 +297,32 @@ def sync_collection(
             checkpoints = CheckpointStore(
                 opts.checkpoint_dir, resume=opts.resume
             )
-        if not opts.pipeline:  # the pipelined scheduler drives journals itself
+        if window == 1:  # the lane scheduler drives journals itself
             method, graceful, budget = _supervised(method, opts, checkpoints)
 
         report, changed = _detect_changes(
             client_files, server_files, method.name, opts
         )
-        if opts.pipeline:
-            _sync_pipelined(report, method, changed, opts, checkpoints)
+        if window > 1:
+            _sync_pipelined(report, method, changed, window, opts, checkpoints)
         else:
             _sync_sequential(report, method, changed, opts, graceful, budget)
         _verify_and_store(report, server_files, opts)
     return report
 
 
-def _sync_pipelined(report, method, changed, opts, checkpoints) -> None:
-    """Run the changed files ``opts.window`` at a time, in manifest order,
+def _sync_pipelined(report, method, changed, window, opts, checkpoints) -> None:
+    """Run the changed files ``window`` at a time, in manifest order,
     each cohort through its stack's lane functions on one shared channel
     (:func:`~repro.net.lanes.run_lanes`).  Per-file accounting stays
-    bit-identical to the sequential path; ``roundtrips_on_wire`` and
-    ``link_wall_clock_s`` come from the shared channel."""
-    from repro.net.channel import SimulatedChannel
-
+    bit-identical to the file-by-file path; ``roundtrips_on_wire`` and
+    ``link_wall_clock_s`` come from the shared channel, rescue transfers
+    included."""
     shared = SimulatedChannel(opts.link)
     with cache_deltas() as deltas:
-        for first in range(0, len(changed), opts.window):
+        for first in range(0, len(changed), window):
             _sync_cohort(
-                report, method, changed[first : first + opts.window],
+                report, method, changed[first : first + window],
                 shared, opts, checkpoints,
             )
     vars(report).update(deltas)
@@ -352,11 +338,12 @@ def _sync_pipelined(report, method, changed, opts, checkpoints) -> None:
 def _sync_cohort(report, method, tasks, shared, opts, checkpoints) -> None:
     """One cohort: open each file's journal and session (a resumed lane
     sends its resume handshake as its own messages and joins at its
-    checkpointed round), run the lanes, then account every file.  The
-    lanes do their work interleaved, so only the cohort's total compute
-    time is measured: it goes to ``cpu_seconds``, and ``per_file_seconds``
-    stays empty."""
+    checkpointed round), run the lanes, then settle every file; an error
+    that aborts the lanes fails the whole cohort.  The lanes work
+    interleaved, so only the cohort's total compute time is measured: it
+    goes to ``cpu_seconds``, and ``per_file_seconds`` stays empty."""
     from repro.net.lanes import LaneChannel, run_lanes
+    from repro.net.metrics import Direction
 
     started = time.perf_counter()
     sessions, journals, resumes = [], [], []
@@ -378,23 +365,33 @@ def _sync_cohort(report, method, tasks, shared, opts, checkpoints) -> None:
         sessions.append(session)
         journals.append(journal)
         resumes.append((resume, handshake_bits))
-    results, rounds = run_lanes(shared, sessions)
-    report.waves += rounds + 2
+    results, error = [None] * len(tasks), None
+    try:
+        results, rounds = run_lanes(shared, sessions)
+        report.waves += rounds + 2
+    except ReproError as exc:
+        if opts.on_error == "raise":
+            raise
+        error = f"{type(exc).__name__}: {exc}"
     report.cpu_seconds += time.perf_counter() - started
-    for task, result, journal, (resume, handshake_bits) in zip(
-        tasks, results, journals, resumes
+    for task, session, result, journal, (resume, handshake_bits) in zip(
+        tasks, sessions, results, journals, resumes
     ):
-        outcome = wire_outcome(result, task.new)
-        outcome.resume_handshake_bits += handshake_bits
-        if resume is not None:
-            outcome.rounds_salvaged += resume.round_index
-        if journal is not None:
-            outcome.checkpoint_bytes_written += journal.bytes_written
-            journal.commit()
-        report.per_file[task.name] = outcome
-        report.reconstructed[task.name] = result.reconstructed
-        if opts.verify and not outcome.correct:
-            raise IntegrityError(f"method {method.name} failed on {task.name}")
+        if result is None:  # the aborted lane's bytes bought nothing
+            stats = session.channel.stats
+            outcome = MethodOutcome(total_bytes=0, correct=False)
+            outcome.retransmitted_bytes = stats.total_bytes + stats.retransmitted_bytes
+        else:
+            outcome = wire_outcome(result, task.new)
+            outcome.resume_handshake_bits += handshake_bits
+            if resume is not None:
+                outcome.rounds_salvaged += resume.round_index
+            if journal is not None:
+                outcome.checkpoint_bytes_written += journal.bytes_written
+                journal.commit()
+        rescued = _settle(report, method, task, outcome, error, opts)
+        if rescued:
+            shared.stats.record(Direction.SERVER_TO_CLIENT, "rescue", rescued)
 
 
 def _supervised(method, opts, checkpoints):
@@ -429,12 +426,7 @@ def _supervised(method, opts, checkpoints):
         or opts.deadline_s is not None
         or budget is not None
     )
-    if (
-        opts.fault_plan is not None
-        or retry_policy is not None
-        or checkpoints is not None
-        or graceful
-    ):
+    if opts.supervised or checkpoints is not None:
         if not isinstance(method, SyncSupervisor):
             method = SyncSupervisor(
                 method,
@@ -474,56 +466,65 @@ def _sync_sequential(report, method, changed, opts, graceful, budget) -> None:
     report.arena_bytes = batch.arena_bytes
     tasks = {task.name: task for task in changed}
     for result in batch.files:
-        name = result.name
-        outcome = result.outcome
-        report.per_file_seconds[name] = result.elapsed_seconds
+        report.per_file_seconds[result.name] = result.elapsed_seconds
         report.cpu_seconds += result.cpu_seconds
-        if outcome.retries:
-            report.retries[name] = outcome.retries
-        failed = result.error is not None or not outcome.correct
-        skip_this = failed and opts.on_error == "skip"
-        if failed and opts.on_error == "raise" and graceful:
-            if result.error is not None and result.error.startswith(
-                ("DeadlineExceededError", "CircuitOpenError")
-            ):
-                skip_this = True  # graceful degradation, not an abort
-            elif result.error is not None:
-                from repro.exceptions import SyncFailedError
+        task = tasks[result.name]
+        _settle(report, method, task, result.outcome, result.error, opts, graceful)
+    # Each file pays its own direction reversals on the link: the per-file
+    # sum is the figure the lane scheduler collapses.  A protocol-internal
+    # fallback's bytes (mostly its downlink payload) crossed with the
+    # delivering attempt; failed attempts are ``recovery_seconds``.
+    outcomes = list(report.per_file.values())
+    report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
+    report.link_wall_clock_s = (opts.link or LinkModel()).transfer_seconds(
+        [o.client_to_server for o in outcomes],
+        [o.server_to_client + o.reclassified_bytes for o in outcomes],
+        [o.roundtrips for o in outcomes],
+    )
 
-                raise SyncFailedError(f"{name}: {result.error}")
-        if skip_this:
-            report.failed[name] = result.error or "IntegrityError: bad bytes"
-            report.per_file[name] = outcome
-            report.reconstructed[name] = tasks[name].old
-            continue
-        if failed and opts.on_error == "fallback":
-            # Out-of-band rescue: a reliable compressed full transfer
-            # replaces the wire accounting; everything the doomed
-            # attempts sent is charged as retransmission, and the
-            # attempts' other counters carry over.
-            payload_bytes = len(zlib.compress(tasks[name].new, 9))
-            outcome = replace(
-                outcome,
-                total_bytes=payload_bytes,
-                client_to_server=0,
-                server_to_client=payload_bytes,
-                breakdown={"s2c/rescue": payload_bytes},
-                correct=True,
-                fallback_method="rescue-full",
-                retransmitted_bytes=(
-                    outcome.retransmitted_bytes + outcome.total_bytes
-                ),
-                roundtrips=0,
-            )
+
+def _settle(report, method, task, outcome, error, opts, graceful=False) -> int:
+    """Record one changed file's outcome for either scheduler, settling a
+    failure (``error`` set, or wrong bytes rebuilt) by ``opts.on_error``.
+    Returns the size of a rescue transfer (0 if none) for the link."""
+    name = task.name
+    if outcome.retries:
+        report.retries[name] = outcome.retries
+    failed = error is not None or not outcome.correct
+    skip_this = failed and opts.on_error == "skip"
+    if error is not None and opts.on_error == "raise" and graceful:
+        if not error.startswith(("DeadlineExceededError", "CircuitOpenError")):
+            raise SyncFailedError(f"{name}: {error}")
+        skip_this = True  # graceful degradation, not an abort
+    if skip_this:
+        report.failed[name] = error or "IntegrityError: bad bytes"
         report.per_file[name] = outcome
-        report.reconstructed[name] = tasks[name].new
-        if outcome.fallback_method:
-            report.fallbacks[name] = outcome.fallback_method
-        if opts.verify and not outcome.correct:
-            raise IntegrityError(f"method {method.name} failed on {name}")
-
-    # Wire-latency accounting for the sequential path: each file's
-    # session pays its own direction reversals on the link, so the
-    # collection's cost is the per-file sum — the figure the pipelined
-    # scheduler collapses.
-    _account_link(report, opts.link)
+        report.reconstructed[name] = task.old
+        return 0
+    rescued = 0
+    if failed and opts.on_error == "fallback":
+        # Out-of-band rescue: the compressed full transfer replaces the
+        # wire accounting; everything the failed attempt sent is charged
+        # as retransmission, and its other counters carry over.
+        rescued = len(zlib.compress(task.new, 9))
+        outcome = replace(
+            outcome,
+            total_bytes=rescued,
+            client_to_server=0,
+            server_to_client=rescued,
+            breakdown={"s2c/rescue": rescued},
+            correct=True,
+            fallback_method="rescue-full",
+            retransmitted_bytes=(
+                outcome.retransmitted_bytes + outcome.total_bytes
+            ),
+            reclassified_bytes=0,
+            roundtrips=0,
+        )
+    report.per_file[name] = outcome
+    report.reconstructed[name] = task.new
+    if outcome.fallback_method:
+        report.fallbacks[name] = outcome.fallback_method
+    if opts.verify and not outcome.correct:
+        raise IntegrityError(f"method {method.name} failed on {name}")
+    return rescued

@@ -112,7 +112,7 @@ COUNTERS: tuple[Counter, ...] = (
 )
 
 #: ``MethodOutcome`` fields that merge across files but reach the exports
-#: only through collection figures (``changed_bytes``,
+#: only through collection figures (``changed_bytes``, ``link_wall_clock_s``,
 #: ``roundtrips_on_wire``, ``fallback_files``).
 OUTCOME_ONLY: tuple[Counter, ...] = (
     Counter("total_bytes", FILE),
@@ -120,6 +120,7 @@ OUTCOME_ONLY: tuple[Counter, ...] = (
     Counter("server_to_client", FILE),
     Counter("correct", FILE, merge="all"),
     Counter("fallback_method", FILE, merge="first"),
+    Counter("reclassified_bytes", FILE),
     Counter("roundtrips", FILE),
 )
 

@@ -115,9 +115,20 @@ class BitWriter:
         self._append_bit_array((arr != 0).astype(np.uint8))
 
     def write_bytes(self, data: bytes) -> None:
-        """Append raw bytes (8 bits each, in order)."""
-        for byte in data:
-            self.write(byte, 8)
+        """Append raw bytes (8 bits each, in order).
+
+        Bit-exact equivalent of ``for b in data: self.write(b, 8)``: the
+        bytes as one little-endian integer, shifted past any pending bits.
+        """
+        if not self._pending_bits:
+            self._buffer += data
+            return
+        count = len(data)
+        merged = self._accumulator | (
+            int.from_bytes(data, "little") << self._pending_bits
+        )
+        self._buffer += merged.to_bytes(count + 1, "little")[:count]
+        self._accumulator = merged >> (8 * count)
 
     def write_uvarint(self, value: int) -> None:
         """Append ``value`` as a LEB128-style varint (7 data bits/byte)."""
@@ -224,8 +235,24 @@ class BitReader:
         return self._read_bit_array(count).astype(bool)
 
     def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` raw bytes."""
-        return bytes(self.read(8) for _ in range(count))
+        """Read ``count`` raw bytes.
+
+        Bit-exact equivalent of ``bytes(self.read(8) for _ in
+        range(count))``, sliced (or shifted, off a byte boundary) in bulk.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if 8 * count > self.remaining_bits:
+            raise EOFError(
+                f"requested {8 * count} bits but only "
+                f"{self.remaining_bits} remain"
+            )
+        start, offset = divmod(self._position, 8)
+        self._position += 8 * count
+        if not offset:
+            return bytes(self._data[start : start + count])
+        window = int.from_bytes(self._data[start : start + count + 1], "little")
+        return (window >> offset).to_bytes(count + 1, "little")[:count]
 
     def read_uvarint(self) -> int:
         """Read a varint written by :meth:`BitWriter.write_uvarint`."""

@@ -23,7 +23,11 @@ class MethodOutcome:
     that finally succeeded (``None`` = the primary method),
     ``retransmitted_bytes`` is the wire cost of the failed attempts and
     ``recovery_seconds`` the estimated wall-clock they burnt (backoff
-    plus wasted transfer time on the configured link).
+    plus wasted transfer time on the configured link).  The part of
+    ``retransmitted_bytes`` the delivering attempt itself sent — a
+    protocol-internal fallback reclassified as recovery — is also in
+    ``reclassified_bytes``: it crossed the link with this result, so the
+    collection's link time prices it.
 
     The checkpoint fields likewise stay zero unless a supervisor ran
     with durable round checkpoints: ``rounds_salvaged`` counts protocol
@@ -58,6 +62,7 @@ class MethodOutcome:
     retries: int = 0
     fallback_method: str | None = None
     retransmitted_bytes: int = 0
+    reclassified_bytes: int = 0
     recovery_seconds: float = 0.0
     rounds_salvaged: int = 0
     resume_handshake_bits: int = 0
@@ -104,6 +109,7 @@ def wire_outcome(result, new: bytes) -> MethodOutcome:
         breakdown=dict(result.stats.breakdown()),
         correct=result.reconstructed == new,
         retransmitted_bytes=result.stats.retransmitted_bytes,
+        reclassified_bytes=result.stats.retransmitted_bytes,
         collisions_detected=getattr(result, "collisions_detected", 0),
         repair_rounds=getattr(result, "repair_rounds", 0),
         repair_bytes=getattr(result, "repair_bytes", 0),

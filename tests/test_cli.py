@@ -129,7 +129,7 @@ class TestSyncCommand:
 
 
 class TestBatchedSync:
-    """``--batched`` is ``--pipeline --window <number of files>``."""
+    """``--batched`` is ``--window <number of files>``."""
 
     def test_batched_directory(self, dir_pair, capsys):
         old_dir, new_dir = dir_pair
@@ -145,8 +145,8 @@ class TestBatchedSync:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "ours"
         assert payload["pipelined"] is True
-        assert main(["sync", str(old_dir), str(new_dir), "--pipeline",
-                     "--window", "3", "--json"]) == 0
+        assert main(["sync", str(old_dir), str(new_dir), "--window", "3",
+                     "--json"]) == 0
         pipelined = json.loads(capsys.readouterr().out)
         for key in ("total_bytes", "breakdown", "waves",
                     "roundtrips_on_wire", "link_wall_clock_s"):
@@ -226,7 +226,9 @@ class TestAdaptiveFlags:
         self, dir_pair, capsys
     ):
         old_dir, new_dir = dir_pair
-        assert main(["sync", str(old_dir), str(new_dir), "--json"]) == 0
+        # The resilience flags resolve the window to 1 (file by file).
+        assert main(["sync", str(old_dir), str(new_dir), "--json",
+                     "--window", "1"]) == 0
         plain = json.loads(capsys.readouterr().out)
         assert main([
             "sync", str(old_dir), str(new_dir), "--json",
@@ -287,7 +289,7 @@ class TestBatchedOutputAndRefusals:
         }
         assert written == expected
 
-    @pytest.mark.parametrize("flag", ["--pipeline", "--sibling-refs"])
+    @pytest.mark.parametrize("flag", ["--delta-memo", "--sibling-refs"])
     def test_batched_honours_flag(self, dir_pair, capsys, flag):
         old_dir, new_dir = dir_pair
         assert main(["sync", str(old_dir), str(new_dir), "--batched",
@@ -299,10 +301,10 @@ class TestBatchedOutputAndRefusals:
         "flags,reason",
         [
             (["--fault-rate", "0.1"], "incompatible with fault injection"),
-            (["--on-error", "skip"], "incompatible with on_error"),
+            (["--workers", "2"], "use workers=1"),
             (["--deadline", "5"], "incompatible with fault injection"),
         ],
-        ids=["fault-rate", "on-error", "deadline"],
+        ids=["fault-rate", "workers", "deadline"],
     )
     def test_batched_refusals_come_from_validate(self, dir_pair, capsys,
                                                  flags, reason):
@@ -310,7 +312,7 @@ class TestBatchedOutputAndRefusals:
         assert main(["sync", str(old_dir), str(new_dir), "--batched",
                      *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: pipeline=True is ")
+        assert err.startswith("error: window > 1 ")
         assert reason in err
 
     def test_batched_refuses_window(self, dir_pair, capsys):
@@ -333,10 +335,11 @@ class TestOptionRefusals:
             (["--resemblance-threshold", "nan"], "resemblance_threshold"),
             (["--window", "0"], "window"),
             (["--resume"], "durable checkpoint location"),
-            (["--pipeline", "--method", "rsync"], "does not support pipelined"),
-            (["--pipeline", "--fault-rate", "0.1"], "incompatible"),
-            (["--pipeline", "--retries", "2"], "incompatible"),
-            (["--pipeline", "--on-error", "skip"], "on_error"),
+            (["--window", "4", "--method", "rsync"],
+             "does not support pipelined"),
+            (["--window", "4", "--fault-rate", "0.1"], "incompatible"),
+            (["--window", "4", "--retries", "2"], "incompatible"),
+            (["--window", "4", "--workers", "2"], "workers=1"),
         ],
     )
     def test_refusal_exit_code_and_reason(self, dir_pair, capsys, flags,
@@ -347,6 +350,51 @@ class TestOptionRefusals:
         assert err.startswith("error: ")
         assert reason in err
         assert "Traceback" not in err
+
+
+class TestDefaultWindow:
+    """Without --window, sync runs cohorts of 8 wherever the lane path
+    can run (SyncOptions.lane_refusal) and file by file elsewhere."""
+
+    @pytest.mark.parametrize(
+        "flags,pipelined",
+        [
+            ([], True),
+            (["--fault-rate", "0.1"], False),
+            (["--retries", "2"], False),
+            (["--workers", "2"], False),
+            (["--method", "rsync"], False),
+            (["--window", "1"], False),
+        ],
+        ids=["no-flags", "fault-rate", "retries", "workers", "rsync",
+             "window-1"],
+    )
+    def test_resolution(self, dir_pair, capsys, flags, pipelined):
+        old_dir, new_dir = dir_pair
+        assert main(["sync", str(old_dir), str(new_dir), "--json",
+                     *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["pipelined"] is pipelined
+
+    def test_default_matches_window_one(self, dir_pair, tmp_path, capsys):
+        old_dir, new_dir = dir_pair
+        runs = {}
+        for label, window in (("windowed", []), ("by_file", ["--window", "1"])):
+            out = tmp_path / label
+            assert main(["sync", str(old_dir), str(new_dir), "--json",
+                         "--output", str(out), *window]) == 0
+            runs[label] = json.loads(capsys.readouterr().out)
+            written = {
+                p.relative_to(out): p.read_bytes()
+                for p in out.rglob("*") if p.is_file()
+            }
+            assert written == {
+                p.relative_to(new_dir): p.read_bytes()
+                for p in new_dir.rglob("*") if p.is_file()
+            }
+        windowed, by_file = runs["windowed"], runs["by_file"]
+        assert windowed["pipelined"] and not by_file["pipelined"]
+        for key in ("total_bytes", "breakdown"):
+            assert windowed[key] == by_file[key], key
 
 
 class TestBenchPerf:

@@ -63,7 +63,7 @@ class TestBatchedCollectionSync:
     def batched(old, new, method=None):
         return sync_collection(
             old, new, method or OursMethod(),
-            pipeline=True, window=max(len(new), 1),
+            window=max(len(new), 1),
         )
 
     def test_reconstruction(self, tree):

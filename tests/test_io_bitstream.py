@@ -149,3 +149,41 @@ def test_bytes_roundtrip(data):
     writer = BitWriter()
     writer.write_bytes(data)
     assert BitReader(writer.getvalue()).read_bytes(len(data)) == data
+
+
+@given(
+    st.integers(min_value=0, max_value=23),
+    st.binary(max_size=300),
+    st.integers(min_value=0, max_value=7),
+)
+def test_bulk_bytes_match_per_byte_reference(offset, data, tail_bits):
+    """write_bytes/read_bytes at any bit offset equal the per-byte
+    ``write(b, 8)`` / ``read(8)`` loop, bit for bit."""
+    bulk, reference = BitWriter(), BitWriter()
+    for writer in (bulk, reference):
+        writer.write((1 << offset) - 1, offset)
+    bulk.write_bytes(data)
+    for byte in data:
+        reference.write(byte, 8)
+    for writer in (bulk, reference):
+        writer.write((1 << tail_bits) - 1, tail_bits)
+    assert bulk.bit_length == reference.bit_length
+    payload = bulk.getvalue()
+    assert payload == reference.getvalue()
+
+    reader, oracle = BitReader(payload), BitReader(payload)
+    reader.read(offset)
+    oracle.read(offset)
+    assert reader.read_bytes(len(data)) == bytes(
+        oracle.read(8) for _ in range(len(data))
+    )
+    assert reader.read(tail_bits) == oracle.read(tail_bits)
+    assert reader.remaining_bits == oracle.remaining_bits
+
+
+def test_read_bytes_past_end_rejected():
+    reader = BitReader(b"\xff\xff")
+    reader.read(3)
+    with pytest.raises(EOFError):
+        reader.read_bytes(2)
+    assert reader.read_bytes(1) == b"\xff"

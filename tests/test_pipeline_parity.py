@@ -129,7 +129,7 @@ class TestPipelineParity:
         )
         pipelined = sync_collection(
             old_side, new_side, method_factory(), link=LINK,
-            pipeline=True, window=4,
+            window=4,
         )
         assert pipelined.pipelined and not sequential.pipelined
         assert pipelined.reconstructed == new_side
@@ -154,7 +154,7 @@ class TestPipelineParity:
         old_side, new_side = make_collection(count=4)
         sync_collection(
             old_side, new_side, method_factory(), link=LINK,
-            pipeline=True, window=3,
+            window=3,
         )
         assert len(lanes) == len(old_side)
         for name, lane in zip(sorted(old_side), lanes):
@@ -193,7 +193,7 @@ class TestPipelineParity:
         )
         pipelined = sync_collection(
             old_side, new_side, MultiroundRsyncMethod(config), link=LINK,
-            pipeline=True, window=3,
+            window=3,
         )
         assert pipelined.reconstructed == new_side
         assert pipelined.per_file == sequential.per_file
@@ -213,7 +213,7 @@ class TestPipelineParity:
         sends, lanes = wire
         tree = gcc_like(scale=0.08, seed=6)
         report = sync_collection(
-            tree.old, tree.new, OursMethod(), pipeline=True, window=1000
+            tree.old, tree.new, OursMethod(), window=1000
         )
         [shared] = [
             channel for channel in sends if type(channel) is SimulatedChannel
@@ -245,7 +245,7 @@ class TestPipelineParity:
             monkeypatch.setenv("REPRO_PROTOCOL_ENGINE", engine)
             reports[engine] = sync_collection(
                 old_side, new_side, OursMethod(), link=LINK,
-                pipeline=True, window=4,
+                window=4,
             )
         scalar, vectorized = reports["scalar"], reports["vectorized"]
         assert scalar.per_file == vectorized.per_file
@@ -260,7 +260,7 @@ class TestPipelineParity:
         old_side, new_side = make_collection(count=4)
         pipelined = sync_collection(
             old_side, new_side, OursMethod(), link=LINK,
-            pipeline=True, window=4,
+            window=4,
         )
         variants = [
             dict(workers=1),
@@ -284,7 +284,7 @@ class TestPipelineParity:
         )
         pipelined = sync_collection(
             old_side, new_side, OursMethod(), link=LINK,
-            checkpoint_dir=tmp_path / "pipe", pipeline=True, window=3,
+            checkpoint_dir=tmp_path / "pipe", window=3,
         )
         assert pipelined.per_file == sequential.per_file
         assert pipelined.checkpoint_bytes_written > 0
@@ -293,12 +293,17 @@ class TestPipelineParity:
         assert sorted((tmp_path / "pipe").glob("*.ckpt")) == []
 
     def test_window_one_still_correct(self):
+        # window=1 (the library default) is the file-by-file path.
         old_side, new_side = make_collection(count=3)
         report = sync_collection(
             old_side, new_side, OursMethod(), link=LINK,
-            pipeline=True, window=1,
+            window=1,
         )
         assert report.reconstructed == new_side
+        assert not report.pipelined
+        default = sync_collection(old_side, new_side, OursMethod(), link=LINK)
+        assert not default.pipelined
+        assert report.per_file == default.per_file
 
     def test_only_total_compute_time_is_measured(self):
         # A cohort's lanes interleave their work, so no per-file time is
@@ -306,7 +311,7 @@ class TestPipelineParity:
         old_side, new_side = make_collection(count=3)
         report = sync_collection(
             old_side, new_side, OursMethod(), link=LINK,
-            pipeline=True, window=2,
+            window=2,
         )
         assert report.per_file_seconds == {}
         assert report.cpu_seconds > 0.0
@@ -314,30 +319,163 @@ class TestPipelineParity:
     def test_validation(self):
         old_side, new_side = make_collection(count=2)
         with pytest.raises(ValueError, match="does not support pipelined"):
-            sync_collection(
-                old_side, new_side, RsyncMethod(), pipeline=True
-            )
+            sync_collection(old_side, new_side, RsyncMethod(), window=2)
         with pytest.raises(ValueError, match="window"):
             sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True, window=0
+                old_side, new_side, OursMethod(), window=0
             )
         from repro.net.faults import FaultPlan
 
         with pytest.raises(ValueError, match="incompatible"):
             sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
+                old_side, new_side, OursMethod(), window=2,
                 fault_plan=FaultPlan.uniform(0.01),
             )
         with pytest.raises(ValueError, match="incompatible"):
             sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
-                deadline_s=5.0,
+                old_side, new_side, OursMethod(), window=2, deadline_s=5.0,
             )
-        with pytest.raises(ValueError, match="on_error"):
+        with pytest.raises(ValueError, match="workers=1"):
             sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
-                on_error="skip",
+                old_side, new_side, OursMethod(), window=2, workers=2,
             )
+
+
+class TestOnErrorOnCohorts:
+    """Cohorts settle failures through the file-by-file path's
+    ``on_error`` rule: a wrong rebuild gives the same per-file outcomes,
+    fallbacks and failures under either scheduler."""
+
+    @staticmethod
+    def seam(monkeypatch, target, fault):
+        """Apply ``fault`` to the client's rebuild of ``target``."""
+        from repro.core.client import ClientSession
+
+        apply = ClientSession.apply_delta
+
+        def patched(self, delta):
+            rebuilt = apply(self, delta)
+            return fault(rebuilt) if rebuilt == target else rebuilt
+
+        monkeypatch.setattr(ClientSession, "apply_delta", patched)
+
+    @pytest.fixture
+    def corrupt_one(self, monkeypatch):
+        old_side, new_side = make_collection(count=5)
+        self.seam(
+            monkeypatch, new_side["f02.bin"],
+            lambda rebuilt: rebuilt[:-1] + bytes([rebuilt[-1] ^ 1]),
+        )
+        return old_side, new_side
+
+    @pytest.mark.parametrize("on_error", ["skip", "fallback"])
+    def test_settlement_matches_file_by_file(self, corrupt_one, on_error):
+        old_side, new_side = corrupt_one
+        by_file, windowed = (
+            sync_collection(
+                old_side, new_side, OursMethod(), link=LINK,
+                on_error=on_error, window=window,
+            )
+            for window in (1, 3)
+        )
+        assert windowed.pipelined and not by_file.pipelined
+        assert windowed.per_file == by_file.per_file
+        assert windowed.fallbacks == by_file.fallbacks
+        assert windowed.failed == by_file.failed
+        assert windowed.reconstructed == by_file.reconstructed
+        if on_error == "skip":
+            assert windowed.failed == {"f02.bin": "IntegrityError: bad bytes"}
+            assert windowed.reconstructed["f02.bin"] == old_side["f02.bin"]
+        else:
+            assert windowed.fallbacks == {"f02.bin": "rescue-full"}
+            assert windowed.reconstructed == new_side
+            assert windowed.per_file["f02.bin"].retransmitted_bytes > 0
+
+    def test_raise_matches_file_by_file(self, corrupt_one):
+        from repro.exceptions import IntegrityError
+
+        old_side, new_side = corrupt_one
+        for window in (1, 3):
+            with pytest.raises(IntegrityError, match="f02.bin"):
+                sync_collection(
+                    old_side, new_side, OursMethod(), on_error="raise",
+                    window=window,
+                )
+
+    def test_rescue_priced_on_the_shared_link(self, corrupt_one):
+        """The rescue adds its payload, and no leg, to the shared link."""
+        old_side, new_side = corrupt_one
+        skip, fallback = (
+            sync_collection(
+                old_side, new_side, OursMethod(), link=LINK,
+                on_error=on_error, window=3,
+            )
+            for on_error in ("skip", "fallback")
+        )
+        rescue = fallback.per_file["f02.bin"].total_bytes
+        assert fallback.roundtrips_on_wire == skip.roundtrips_on_wire
+        assert fallback.link_wall_clock_s - skip.link_wall_clock_s == (
+            pytest.approx(8 * rescue / LINK.bandwidth_bps)
+        )
+
+    def test_aborted_cohort_settles_every_lane(self, monkeypatch):
+        """An error that aborts the lanes fails its whole cohort, each
+        file charged its lane's bytes as retransmission; other cohorts
+        are untouched."""
+        from repro.exceptions import ProtocolError
+
+        old_side, new_side = make_collection(count=5)
+
+        def abort(rebuilt):
+            raise ProtocolError("seam")
+
+        self.seam(monkeypatch, new_side["f01.bin"], abort)
+        cohort = ["f00.bin", "f01.bin", "f02.bin"]
+        skip = sync_collection(
+            old_side, new_side, OursMethod(), on_error="skip", window=3
+        )
+        assert skip.failed == dict.fromkeys(cohort, "ProtocolError: seam")
+        for name in cohort:
+            assert skip.reconstructed[name] == old_side[name]
+            assert skip.per_file[name].retransmitted_bytes > 0
+        for name in ("f03.bin", "f04.bin"):
+            assert skip.reconstructed[name] == new_side[name]
+        fallback = sync_collection(
+            old_side, new_side, OursMethod(), on_error="fallback", window=3
+        )
+        assert fallback.fallbacks == dict.fromkeys(cohort, "rescue-full")
+        assert fallback.reconstructed == new_side
+        with pytest.raises(ProtocolError, match="seam"):
+            sync_collection(
+                old_side, new_side, OursMethod(), on_error="raise", window=3
+            )
+
+
+class TestFileByFileLink:
+    def test_protocol_fallback_bytes_priced(self):
+        """A protocol-internal fallback reclassifies its bytes as
+        retransmission, but they crossed the link with the delivering
+        attempt: the file-by-file link time prices them."""
+        from repro.multiround import MultiroundConfig
+
+        config = MultiroundConfig(
+            hash_bits=16, start_block_size=1024, min_block_size=32,
+            repair=False,
+        )
+        old_side, new_side = make_collection(count=3, nbytes=16000, edits=10)
+        report = sync_collection(
+            old_side, new_side, MultiroundRsyncMethod(config), window=1
+        )
+        totals = report.totals()
+        assert report.retransmitted_bytes == totals.reclassified_bytes == 12911
+        link = LinkModel()
+        assert report.link_wall_clock_s == pytest.approx(
+            link.transfer_seconds(
+                totals.client_to_server,
+                totals.server_to_client + 12911,
+                report.roundtrips_on_wire,
+            )
+        )
 
 
 class TestPipelinedCacheCounters:
@@ -360,17 +498,17 @@ class TestPipelinedCacheCounters:
 
         tree = gcc_like(0.1, seed=1)
         counters = {}
-        for pipeline in (False, True):
+        for window in (1, 8):
             reset_default_cache()
             reset_default_reference_cache()
             reset_default_delta_memo()
             report = sync_collection(
                 tree.old, tree.new, method_factory(),
-                pipeline=pipeline, delta_memo=True,
+                window=window, delta_memo=True,
             )
-            counters[pipeline] = {k: getattr(report, k) for k in CACHE_COUNTERS}
-        assert counters[True] == counters[False]
-        assert counters[True]["cache_hits"] > 0
+            counters[window] = {k: getattr(report, k) for k in CACHE_COUNTERS}
+        assert counters[8] == counters[1]
+        assert counters[8]["cache_hits"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -413,9 +551,9 @@ class TestCrashSchedulerInterchange:
     @pytest.mark.parametrize(
         "crash_flags,resume_flags",
         [
-            pytest.param(["--pipeline", "--window", "3"], [],
+            pytest.param(["--window", "3"], ["--window", "1"],
                          id="pipelined-crash-sequential-resume"),
-            pytest.param([], ["--pipeline", "--window", "3"],
+            pytest.param(["--window", "1"], ["--window", "3"],
                          id="sequential-crash-pipelined-resume"),
         ],
     )
@@ -445,7 +583,7 @@ class TestCrashSchedulerInterchange:
         run = json.loads(proc.stdout)
         assert run["rounds_salvaged"] >= 1
         assert run["resume_handshake_bits"] > 0
-        assert run["pipelined"] == bool(resume_flags)
+        assert run["pipelined"] == (resume_flags[-1] != "1")
         for name, data in new_side.items():
             assert (out / name).read_bytes() == data
         assert sorted(ckpt.glob("*.ckpt")) == []

@@ -65,9 +65,9 @@ class TestValidate:
         [
             (dict(on_error="ignore"), "on_error"),
             (dict(change_detection="guess"), "change_detection"),
-            (dict(pipeline=True, executor=object()), "executor"),
-            (dict(pipeline=True, breaker_threshold=3), "incompatible"),
-            (dict(pipeline=True, adaptive_retry=True), "incompatible"),
+            (dict(window=2, executor=object()), "executor"),
+            (dict(window=2, breaker_threshold=3), "incompatible"),
+            (dict(window=2, adaptive_retry=True), "incompatible"),
         ],
     )
     def test_refusals(self, options, match):
@@ -76,7 +76,7 @@ class TestValidate:
 
     def test_pipeline_needs_stepwise_method(self):
         with pytest.raises(ValueError, match="does not support pipelined"):
-            SyncOptions(pipeline=True).validate(RsyncMethod())
+            SyncOptions(window=2).validate(RsyncMethod())
 
     def test_resume_needs_durable_location(self, tmp_path):
         with pytest.raises(ResumeRefusedError):
